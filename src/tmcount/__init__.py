@@ -3,7 +3,7 @@ function, computed from ring-resolvent corner blocks on contours.
 
 The public surface re-exports the system data model, the direct
 transfer-product oracle, the ring operators with their determinant and
-resolvent machinery, the counting-function quadrature with bisection
+resolvent machinery, the counting-function quadrature with exponent
 locating, and the Anderson bar generator.
 """
 
@@ -24,8 +24,9 @@ from .logscale import ScaledComplex, relative_difference, scaled_product
 from .operators import (BlockTridiagonalSystem, HermitianTag, ValidationError,
                         ValidationReport, hermitian_check, load_meta,
                         load_system, save_system, validate_system)
-from .transfer import (ExponentSet, TransferMatrix, direct_count,
-                       one_step_transfer, stable_exponents, transfer_product)
+from .transfer import (ExponentSet, NumericalError, TransferMatrix,
+                       direct_count, one_step_transfer, stable_exponents,
+                       transfer_product)
 
 __all__ = [
     "AndersonConfig",
@@ -34,6 +35,7 @@ __all__ = [
     "CountingSample",
     "ExponentSet",
     "HermitianTag",
+    "NumericalError",
     "QuadratureSpec",
     "RingBandWorkspace",
     "RingHamiltonian",

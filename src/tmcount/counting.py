@@ -13,13 +13,18 @@ grids are retried once with a half-step angular shift, resolution is
 escalated while it still pays, and surviving trouble is flagged as
 near_eigenvalue rather than hidden.
 
-Exponent location inverts the counting function by bisection.  The key
-robustness fact: each mode contributes a term whose sign relative to
-its plateau midpoint flips exactly at the mode's own exponent, for any
-sample count and any grid offset.  Bisection on raw values therefore
-stays correct even where the quadrature error is large, and coincident
-exponents are recovered by re-bisecting a cluster against its midpoint
-level and reading the multiplicity off the jump size.
+Exponent location rests on an identity that is exact for the P-angle
+trapezoid rule: m + (grid mean) = sum_a 1/(1 - (lambda_a/w_0)^P), with
+lambda_a the eigenvalues of the transfer matrix and w_0 = e^{n xi} times
+the grid phase.  Each exponent pulls the grid mean off its integer
+count by about e^{-nP|xi - xi_a|}.  The locator bisects the bracket on
+the integer count, one tree shared by all exponents, splitting only at
+levels whose pull is negligible, until each interval holds one exponent
+or a cluster no such level can split.  A single exponent is then
+inverted in closed form from a sample next to it; a cluster of q
+(coincident exponents, or complex-conjugate eigenvalues of one modulus)
+from the power sums sum_a lambda_a^k, k = 1..q, which the moments of
+the same grid values at the cluster's two isolating levels give.
 """
 
 from __future__ import annotations
@@ -33,7 +38,8 @@ import numpy as np
 from .hamiltonian import (OVERFLOW_GUARD, RingBandWorkspace, ScaleOverflowError,
                           SpectrumCollisionError, resolvent_corners_open)
 from .operators import BlockTridiagonalSystem
-from .transfer import ExponentSet, one_step_transfer, stable_exponents
+from .transfer import (ExponentSet, NumericalError, one_step_transfer,
+                       stable_exponents)
 
 #: escalate the quadrature while the quantization residual exceeds this
 ESCALATE_RESIDUAL = 1e-4
@@ -337,8 +343,34 @@ def counting_sweep(sys: BlockTridiagonalSystem, energy: complex, xi_grid,
 
 
 # ---------------------------------------------------------------------------
-# exponent location by bisection
+# exponent location: count isolation, then closed-form or moment inversion
 # ---------------------------------------------------------------------------
+
+#: a locator level isolates when m + (grid mean) lies this close to its
+#: integer count: every exponent is then about log(1/ISOLATION_DEV)/(nP)
+#: away and pulls the grid mean by less than ISOLATION_DEV
+ISOLATION_DEV = 1e-10
+
+#: a closed-form estimate is used while the sample lies within
+#: _CAPTURE/(nP) of the exponent; farther out f rounds to 0 or 1 and
+#: only the side of the exponent is known
+_CAPTURE = 25.0
+
+#: the closed-form iteration stops once a step falls below this
+_STEP_TOL = 1e-13
+
+#: closed-form steps per exponent once it is captured
+_MAX_STEPS = 4
+
+#: bracket steps that bring a sample within capture of the exponent
+_MAX_APPROACH = 60
+
+#: intervals are split this much of their width off the middle: a
+#: symmetric bracket would otherwise sample the exact level of a
+#: zero-exponent pair, whose two complex-conjugate pulls cancel and
+#: mimic an isolating level
+_SPLIT_OFFSET = 0.01 * math.sqrt(2.0)
+
 
 def _default_bracket(sys: BlockTridiagonalSystem, energy: complex):
     # |eig(T)| is bounded by the product of one-step norms, so the
@@ -351,39 +383,215 @@ def _default_bracket(sys: BlockTridiagonalSystem, energy: complex):
     return -(max(los) + 0.1), max(his) + 0.1
 
 
+@dataclass(frozen=True)
+class _Level:
+    """One locator sample: the per-angle traces at level xi.
+
+    total = m + (grid mean) equals sum_a 1/(1 - (lambda_a/w_0)^P) for the
+    P-angle grid, w_0^P = e^{nP xi} times the grid phase, so dev, its
+    distance from the integer count, is about the pull
+    e^{-nP|xi - xi_a|} of the nearest exponent.
+    """
+
+    xi: float
+    traces: np.ndarray
+    shift: bool
+    total: complex
+    count: int
+    dev: float
+
+    def moments(self, n: int, xi_c: float, kmax: int) -> np.ndarray:
+        """Grid means of (w/c)^k times the traces, k = 0..kmax, c = e^{n xi_c}.
+
+        For k < P they equal sum_a (lambda_a/c)^k / (1 - (lambda_a/w_0)^P):
+        the power sums over the exponents below xi, up to the same pull.
+        """
+        p = self.traces.size
+        theta = (2.0 * math.pi / p) * (np.arange(p) + (0.5 if self.shift else 0.0))
+        ratio = np.exp(n * (self.xi - xi_c) + 1j * theta)
+        powers = np.cumprod(np.vstack([np.ones(p), np.tile(ratio, (kmax, 1))]), axis=0)
+        return powers @ self.traces / p
+
+
+def _find_split(level, a: _Level, b: _Level, q: int, n_p: int):
+    """An isolating level strictly between a and b, or None.
+
+    The middle is tried first.  A level that does not isolate sits about
+    d = log(1/dev)/(nP) from its nearest exponent, on an unknown side, so
+    both points d plus the isolation distance away clear that exponent;
+    they are tried next, breadth first, up to 2q + 1 levels in all.
+    Points closer than the isolation distance to a or b cannot separate
+    anything and are skipped.
+    """
+    isolation = -math.log(ISOLATION_DEV) / n_p
+    queue = [a.xi + (0.5 + _SPLIT_OFFSET) * (b.xi - a.xi)]
+    tried = 0
+    while queue and tried < 2 * q + 1:
+        x = queue.pop(0)
+        if not a.xi + isolation < x < b.xi - isolation:
+            continue
+        s = level(x)
+        tried += 1
+        if s.dev <= ISOLATION_DEV and a.count <= s.count <= b.count:
+            return s
+        d = max(0.0, -math.log(max(s.dev, ISOLATION_DEV))) / n_p
+        queue += [x - d - 1.1 * isolation, x + d + 1.1 * isolation]
+    return None
+
+
+def _invert_singleton(level, a: _Level, b: _Level, n_p: int, tol: float):
+    """The one exponent between the isolating levels a and b.
+
+    f = total - count(a) = 1/(1 - u) with |u| = e^{nP(xi_a - xi)}, up to
+    the pull of the exponents outside (a, b), so
+    xi_a = xi + log|1 - 1/f| / (nP).  Far from the exponent f rounds to
+    0 or 1: only the side is known, and the bracket shrinks by
+    bisection or by the jump the saturated estimate still bounds.  Once
+    captured, each sample sits one radial step 1/(nP) from the last
+    estimate, on alternating sides, never on the estimate itself, where
+    a grid angle can hit the eigenvalue.  Returns (xi_a, ok), ok when
+    the last two estimates agree within tol and lie between a and b.
+    """
+    lo, hi = a.xi, b.xi
+    x = 0.5 * (lo + hi)
+    estimates = []
+    for _ in range(_MAX_APPROACH):
+        f = level(x).total - a.count
+        g = abs(1.0 - 1.0 / f) if f != 0 else math.inf
+        lu = math.log(g) if g > 0.0 else -math.inf
+        if abs(lu) <= _CAPTURE:
+            estimates.append(x + lu / n_p)
+            if len(estimates) == _MAX_STEPS or (
+                    len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) < _STEP_TOL):
+                break
+            x = estimates[-1] + (1.0 if len(estimates) % 2 else -1.0) / n_p
+            continue
+        estimates = []
+        if lu < 0:
+            hi = x
+        else:
+            lo = x
+        # the saturated estimate still bounds the exponent from x's side:
+        # jump to the bound when it cuts deeper than bisection
+        mid = 0.5 * (lo + hi)
+        bound = x + lu / n_p
+        x = bound if (lo < bound < mid if lu < 0 else mid < bound < hi) else mid
+    if not estimates:
+        return 0.5 * (lo + hi), False
+    ok = (len(estimates) > 1 and abs(estimates[-1] - estimates[-2]) <= tol
+          and a.xi < estimates[-1] < b.xi)
+    return estimates[-1], ok
+
+
+def _group_roots(a: _Level, b: _Level, n: int):
+    """Exponents of the q > 1 group between the isolating levels a and b.
+
+    The difference of the two levels' moments gives the power sums
+    p_k = sum (lambda/c)^k over the group; Newton's identities turn
+    p_1..p_q into the group's characteristic polynomial, whose roots
+    give the exponents.  Roots that coincide within the error the power
+    sums allow are one multiplet: only their centre p_1/q is well
+    conditioned, so all of them take its modulus.  Returns the values,
+    an error bound for each, and the misfit of the unused sum p_{q+1}.
+    """
+    q = b.count - a.count
+    xi_c = 0.5 * (a.xi + b.xi)
+    p = b.moments(n, xi_c, q + 1) - a.moments(n, xi_c, q + 1)
+    coef = [1.0 + 0j]
+    for k in range(1, q + 1):
+        coef.append(-sum(coef[k - i] * p[i] for i in range(1, k + 1)) / k)
+    mu = np.roots(coef)
+    if np.any(mu == 0):
+        return [xi_c] * q, np.full(q, math.inf), math.inf
+    # error of the power sums: the measured error of p_0, the pulls at
+    # both levels, and rounding grown by |w/c|^(q+1) at the upper level
+    growth = math.exp(n * (b.xi - xi_c) * (q + 1))
+    eps = (abs(p[0] - q) + a.dev + b.dev
+           + 1e-15 * growth * float(np.max(np.abs(b.traces))))
+    centre = p[1] / q
+    spread = 2.0 * (q * eps) ** (1.0 / q) * max(1.0, abs(centre))
+    if np.all(np.abs(mu - centre) <= spread):
+        mu = np.full(q, centre)
+        err = np.full(q, spread)
+    else:
+        slope = np.abs(np.polyval(np.polyder(coef), mu))
+        with np.errstate(divide="ignore"):
+            err = np.minimum(spread, eps * np.maximum(1.0, np.abs(mu)) ** q / slope)
+    values = [xi_c + math.log(abs(r)) / n for r in mu]
+    misfit = abs(complex(np.sum(mu ** (q + 1))) - p[q + 1]) / max(
+        1.0, float(np.sum(np.abs(mu) ** (q + 1))))
+    return values, err / (n * np.abs(mu)), misfit
+
+
+def _invert_group(level, a: _Level, b: _Level, n: int, n_phi: int, tol: float):
+    """The q > 1 exponents between the isolating levels a and b.
+
+    A first pass on a and b places the group; the second takes the
+    moments at new levels a margin outside it, where the pull of the
+    group, e^{-nP margin}, and the rounding grown by e^{n(q+1) margin}
+    balance near machine precision.  A new level replaces the old one
+    only if it isolates with the same count, and the pass with the
+    smaller error bound is kept.  Returns (values, ok), ok when every
+    value has an error bound within tol and the roots reproduce the
+    unused power sum within n*tol.
+    """
+    q = b.count - a.count
+    first = (a, b) + _group_roots(a, b, n)
+    margin = -math.log(np.finfo(float).eps) / (n * (n_phi + q + 1))
+    s = level(min(first[2]) - margin)
+    if s.dev <= ISOLATION_DEV and s.count == a.count:
+        a = s
+    s = level(max(first[2]) + margin)
+    if s.dev <= ISOLATION_DEV and s.count == b.count:
+        b = s
+    second = (a, b) + _group_roots(a, b, n)
+    a, b, values, err, misfit = min(first, second, key=lambda r: float(np.max(r[3])))
+    ok = (misfit <= n * tol and bool(np.all(err <= tol))
+          and all(a.xi < x < b.xi for x in values))
+    return values, ok
+
+
 def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
                      quad: QuadratureSpec | None = None,
                      bracket=None, tol: float = 1e-6) -> ExponentSet:
-    """All 2m exponents, with multiplicity, by counting bisection.
+    """All 2m exponents, with multiplicity, from the counting function.
 
     Works where the direct eigenvalue oracle loses small exponents to
-    rounding.  Each sorted-position boundary is bisected on the raw
-    counting value against its plateau midpoint; the flip there is
-    sign-exact at any quadrature size, so a modest per-call n_phi
-    suffices.  Boundaries closer than a merge window are re-bisected as
-    one cluster against the cluster midpoint, then the cluster is
-    accepted as a true multiplet only if high-resolution counts on both
-    sides confirm the full jump; otherwise the individual boundaries
-    stand.  Coincident exponents are exact; distinct exponents closer
-    than the merge window are resolved only to the cluster scale.
+    rounding.  Every sample is one P-angle grid of the balanced trace
+    integrand.  The two bracket edges must count 0 and 2m.  One shared
+    bisection tree on the integer count then splits the bracket at
+    isolating levels (quantization deviation below ISOLATION_DEV) until
+    each interval holds one exponent or a cluster no isolating level
+    can split.  A single exponent is inverted in closed form from the
+    trapezoid identity; a cluster of q from the power sums that the
+    moments of its two isolating levels give.  Coincident exponents and
+    distinct ones of equal modulus (complex-conjugate eigenvalues) come
+    out of the same cluster rule.
+
+    reliable is False unless the bracket counts were clean (residual
+    below NEAR_RESIDUAL; every other isolating level is cleaner by
+    construction), every value lies inside its isolating interval, and
+    every inversion was consistent: the last two closed-form estimates
+    within tol, or a cluster's roots reproducing its unused power sum
+    with an error bound within tol.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
     n, m = sys.n, sys.m
     two_m = 2 * m
-    n_loc = quad.n_phi if quad is not None else int(np.clip(1024 // n, 16, 256))
-    verify_quad = QuadratureSpec(n_phi=256, auto_escalate=False)
+    n_phi = quad.n_phi if quad is not None else int(np.clip(1024 // n, 16, 256))
+    n_p = n * n_phi
     ws = RingBandWorkspace(sys)
 
-    def scaled_raw(xi: float) -> float:
-        # 2m * raw.re = m + Re(grid average of the trace integrand)
-        def sampler(n_phi, shift):
-            return _balanced_traces(ws, energy, xi, n_phi, shift)
-        mean, _ = _sample_with_retry(sampler, m, n_loc)
-        return m + mean.real
-
-    def count_at(xi: float) -> int:
-        return counting_function(sys, energy, xi, verify_quad, workspace=ws).count
+    def level(xi: float) -> _Level:
+        try:
+            traces, shift = _balanced_traces(ws, energy, xi, n_phi, False), False
+        except SpectrumCollisionError:
+            traces, shift = _balanced_traces(ws, energy, xi, n_phi, True), True
+        total = m + complex(traces.mean())
+        count = min(max(int(math.floor(total.real + 0.5)), 0), two_m)
+        return _Level(xi=xi, traces=traces, shift=shift, total=total,
+                      count=count, dev=abs(total - count))
 
     explicit = bracket is not None
     if explicit:
@@ -393,78 +601,42 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     else:
         lo, hi = _default_bracket(sys, energy)
     for _ in range(_MAX_BRACKET_GROWTH):
-        if count_at(lo) == 0:
+        low = level(lo)
+        if low.count == 0:
             break
         if explicit:
             raise ValueError("bracket invalid: count at the lower edge is not 0")
         lo -= max(1.0, 0.25 * (hi - lo))
     else:
-        raise ValueError("could not establish a lower bracket with count 0")
+        raise NumericalError("could not establish a lower bracket with count 0")
     for _ in range(_MAX_BRACKET_GROWTH):
-        if count_at(hi) == two_m:
+        high = level(hi)
+        if high.count == two_m:
             break
         if explicit:
             raise ValueError("bracket invalid: count at the upper edge is not 2m")
         hi += max(1.0, 0.25 * (hi - lo))
     else:
-        raise ValueError("could not establish an upper bracket with count 2m")
+        raise NumericalError("could not establish an upper bracket with count 2m")
 
-    def bisect(a: float, b: float, threshold: float) -> float:
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            if mid <= a or mid >= b:
-                break
-            if scaled_raw(mid) > threshold:
-                b = mid
-            else:
-                a = mid
-        return 0.5 * (a + b)
-
-    bounds = []
-    a = lo
-    for k in range(two_m):
-        bounds.append(bisect(a, hi, k + 0.5))
-        a = max(a, bounds[-1] - tol)
-
-    merge_window = max(1e-2, 10.0 * tol, 4.0 * math.log(3.0) / (n * n_loc))
-    probe_quad = QuadratureSpec(n_phi=1024 if n < 8 else 256, auto_escalate=False)
-
-    def probe_count(xi: float) -> int:
-        return counting_function(sys, energy, xi, probe_quad, workspace=ws).count
-
-    def resolve_cluster(i: int, j: int) -> list[float]:
-        # levels i..j share a window narrower than the merge scale; decide
-        # between one multiplet and a genuine split.  A true multiplet
-        # jumps by the full q within a probe-resolvable distance of the
-        # cluster midpoint; anything less reveals internal structure.
-        if j == i:
-            return [bounds[i]]
-        q = j - i + 1
-        c_lo = bounds[i] - merge_window
-        if i > 0:
-            c_lo = max(c_lo, 0.5 * (bounds[i - 1] + bounds[i]))
-        c_hi = bounds[j] + merge_window
-        if j + 1 < two_m:
-            c_hi = min(c_hi, 0.5 * (bounds[j] + bounds[j + 1]))
-        xstar = bisect(c_lo, c_hi, i + 0.5 * q)
-        eps = max(10.0 * tol, math.log(8.0 * q) / (n * probe_quad.n_phi))
-        eps = min(eps, 0.9 * (xstar - c_lo), 0.9 * (c_hi - xstar))
-        if (eps > 0 and probe_count(xstar - eps) == i
-                and probe_count(xstar + eps) == i + q):
-            return [xstar] * q
-        gaps = [bounds[t + 1] - bounds[t] for t in range(i, j)]
-        t = i + int(np.argmax(gaps))
-        return resolve_cluster(i, t) + resolve_cluster(t + 1, j)
-
+    reliable = low.dev < NEAR_RESIDUAL and high.dev < NEAR_RESIDUAL
     values: list[float] = []
-    i = 0
-    while i < two_m:
-        j = i
-        while j + 1 < two_m and bounds[j + 1] - bounds[j] < merge_window:
-            j += 1
-        values.extend(resolve_cluster(i, j))
-        i = j + 1
-    return ExponentSet(values=tuple(sorted(values)), reliable=True)
+    stack = [(low, high)]
+    while stack:
+        a, b = stack.pop()
+        q = b.count - a.count
+        split = _find_split(level, a, b, q, n_p) if q > 1 else None
+        if split is not None:
+            stack += [(split, b), (a, split)]
+        elif q == 1:
+            x, ok = _invert_singleton(level, a, b, n_p, tol)
+            values.append(x)
+            reliable = reliable and ok
+        elif q > 1:
+            found, ok = _invert_group(level, a, b, n, n_phi, tol)
+            values += found
+            reliable = reliable and ok
+    return ExponentSet(values=tuple(sorted(values)), reliable=reliable)
 
 
 # ---------------------------------------------------------------------------
@@ -506,18 +678,21 @@ def _ring_logdet_average(sys: BlockTridiagonalSystem, energy: complex,
 
 
 def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
-                    quad: QuadratureSpec | None = None):
+                    quad: QuadratureSpec | None = None,
+                    exponents: ExponentSet | None = None):
     """Both sides of the log-determinant sum rule at level xi.
 
     lhs = (1/2m) sum_a (|xi_a - xi| + xi_a + xi) - xi from the exponents
-    (direct oracle where reliable, bisection otherwise); rhs from the
-    full-circle quadrature of log|det| minus the coupling normalization.
-    Returns (lhs, rhs).
+    (the given ones, else the direct oracle where reliable and the
+    locator otherwise); rhs from the full-circle quadrature of log|det|
+    minus the coupling normalization.  Returns (lhs, rhs).
     """
     n_phi = quad.n_phi if quad is not None else 512
-    xs = stable_exponents(sys, energy)
-    if not xs.reliable:
-        xs = locate_exponents(sys, energy)
+    xs = exponents
+    if xs is None:
+        xs = stable_exponents(sys, energy)
+        if not xs.reliable:
+            xs = locate_exponents(sys, energy)
     m, n = sys.m, sys.n
     lhs = sum(abs(x - xi) + x + xi for x in xs.values) / (2.0 * m) - xi
     rhs = (_ring_logdet_average(sys, energy, xi, n_phi) / (m * n)

@@ -30,7 +30,7 @@ from scipy.linalg import lapack
 
 from .logscale import ScaledComplex, relative_difference
 from .operators import BlockTridiagonalSystem
-from .transfer import transfer_product
+from .transfer import NumericalError, transfer_product
 
 #: relative pivot size below which the shifted operator is treated as
 #: singular (the contour touches the spectrum)
@@ -42,11 +42,11 @@ OVERFLOW_GUARD = 300.0
 _VARIANTS = ("plain", "balanced", "corner_free")
 
 
-class SpectrumCollisionError(RuntimeError):
+class SpectrumCollisionError(NumericalError):
     """The shifted ring operator is numerically singular at this point."""
 
 
-class ScaleOverflowError(RuntimeError):
+class ScaleOverflowError(NumericalError):
     """A requested power of z exceeds the floating-point range guard."""
 
 

@@ -22,6 +22,10 @@ from .operators import BlockTridiagonalSystem
 RELIABLE_SPREAD = 30.0
 
 
+class NumericalError(RuntimeError):
+    """A computation failed for numerical reasons, not because of bad input."""
+
+
 @dataclass(frozen=True)
 class TransferMatrix:
     """An n-step propagator stored as ``mat * exp(log_scale)``."""
@@ -39,9 +43,11 @@ class TransferMatrix:
 class ExponentSet:
     """Sorted per-step growth exponents of a propagator.
 
-    ``reliable`` is False when the dynamic range of the product exceeds
-    what double-precision eigenvalues can resolve; the counting-function
-    route remains usable in that regime.
+    From the direct oracle, ``reliable`` is False when the dynamic range
+    of the product exceeds what double-precision eigenvalues can
+    resolve; the counting-function route remains usable in that regime.
+    From the locator, it is False when the locator's own evidence does
+    not back every value (see ``locate_exponents``).
     """
 
     values: tuple
@@ -83,7 +89,7 @@ def transfer_product(sys: BlockTridiagonalSystem, energy: complex) -> TransferMa
         acc = one_step_transfer(sys, k, energy) @ acc
         nrm = np.linalg.norm(acc, np.inf)
         if not np.isfinite(nrm) or nrm == 0.0:
-            raise ValueError(f"transfer product degenerated at factor {k}")
+            raise NumericalError(f"transfer product degenerated at factor {k}")
         acc /= nrm
         log_scale += math.log(nrm)
     return TransferMatrix(mat=acc, log_scale=log_scale)

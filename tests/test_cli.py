@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from tmcount import load_meta, save_system
+from tmcount import cli, counting, load_meta, save_system
 from tmcount.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -130,6 +130,39 @@ def test_exponents_direct_unreliable_exit(tmp_path, scalar_file, capsys):
     assert labels == {"direct_unreliable"}
 
 
+def test_exponents_bisect_unreliable_exit(tmp_path, capsys):
+    # an exact doublet of a clean bar cannot be certified to 1e-12: its
+    # two roots are only known to the square root of the moment error
+    bar = tmp_path / "clean.json"
+    assert run_cli("gen-anderson", "--wx", "2", "--wy", "2", "--length", "12",
+                   "--disorder", "0", "-o", str(bar)) == EXIT_OK
+    out = tmp_path / "e.csv"
+    rc = run_cli("exponents", "--system", str(bar), "--energy", "5",
+                 "--method", "bisect", "--tol", "1e-12", "-o", str(out))
+    assert rc == EXIT_NUMERICAL
+    assert "unreliable" in capsys.readouterr().err
+    rows = read_csv(out)[1:]
+    assert {r[2] for r in rows} == {"bisect_unreliable"}
+    assert len(rows) == 8
+
+
+def test_check_locates_once_beyond_oracle_range(tmp_path, monkeypatch):
+    bar = tmp_path / "long.json"
+    assert run_cli("gen-anderson", "--wx", "2", "--wy", "1", "--length", "24",
+                   "--disorder", "18", "--seed", "7", "-o", str(bar)) == EXIT_OK
+    calls = []
+    locate = counting.locate_exponents
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("tol"))
+        return locate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "locate_exponents", counted)
+    monkeypatch.setattr(counting, "locate_exponents", counted)
+    assert run_cli("check", "--system", str(bar), "--energy", "0.5") == EXIT_OK
+    assert calls == [1e-8]
+
+
 def test_check_passes_on_generated_bar(bar_file, capsys):
     assert run_cli("check", "--system", str(bar_file), "--energy", "0.4") == EXIT_OK
     out = capsys.readouterr().out
@@ -164,6 +197,44 @@ def test_bad_energy_string_is_validation_error(scalar_file):
                    "--energy", "abc") == EXIT_VALIDATION
     assert run_cli("exponents", "--system", str(scalar_file),
                    "--energy", "1,2,3") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("energy", ["nan", "inf", "0,nan", "1,inf"])
+def test_non_finite_energy_is_validation_error(scalar_file, energy, capsys):
+    for command in ("count", "exponents", "check"):
+        rc = run_cli(command, "--system", str(scalar_file), "--energy", energy)
+        assert rc == EXIT_VALIDATION
+        assert "energy must be finite" in capsys.readouterr().err
+
+
+def test_locator_bracket_failure_is_numerical_error(scalar_file, monkeypatch,
+                                                    capsys):
+    monkeypatch.setattr(counting, "_MAX_BRACKET_GROWTH", 0)
+    rc = run_cli("exponents", "--system", str(scalar_file), "--energy", "3")
+    assert rc == EXIT_NUMERICAL
+    assert "could not establish a lower bracket" in capsys.readouterr().err
+
+
+def test_degenerate_transfer_product_is_numerical_error(tmp_path, capsys):
+    # each one-step factor holds 1e308 twice in a row: finite, but the
+    # row sum that rescales the product overflows
+    path = tmp_path / "huge.json"
+    save_system(scalar_chain(4, b=1e-306, c=-100.0), path)
+    with np.errstate(over="ignore"):
+        rc = run_cli("exponents", "--system", str(path), "--energy", "100",
+                     "--method", "direct")
+    assert rc == EXIT_NUMERICAL
+    assert "transfer product degenerated" in capsys.readouterr().err
+
+
+def test_linalg_error_is_numerical_error(scalar_file, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("eigenvalues did not converge")
+
+    monkeypatch.setattr(cli, "stable_exponents", fail)
+    rc = run_cli("exponents", "--system", str(scalar_file), "--method", "direct")
+    assert rc == EXIT_NUMERICAL
+    assert "numerical error" in capsys.readouterr().err
 
 
 def test_descending_grid_is_validation_error(scalar_file):

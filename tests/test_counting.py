@@ -1,4 +1,4 @@
-"""Contour counting function, exponent location by bisection, sum rules."""
+"""Contour counting function, exponent location, sum rules."""
 
 import cmath
 import math
@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from tmcount import (
     QuadratureSpec,
+    RingBandWorkspace,
     ScaleOverflowError,
     AndersonConfig,
     clean_limit_exponents,
@@ -24,6 +25,7 @@ from tmcount import (
     locate_exponents,
     positive_exponent_sum,
     stable_exponents,
+    transfer_product,
 )
 
 from conftest import random_system, scalar_chain
@@ -232,6 +234,49 @@ def test_locate_matches_direct_oracle_random():
         assert np.max(np.abs(got - direct)) < 1e-5
 
 
+def test_locate_conjugate_pair_matches_direct_oracle():
+    # disordered bar inside the direct oracle's range whose transfer
+    # matrix has a complex-conjugate eigenvalue pair: two equal exponents
+    # from distinct eigenvalues, which no count can split
+    sys = generate(AndersonConfig(wx=2, wy=2, length=8, disorder=6.0, seed=1))
+    lam = np.linalg.eigvals(transfer_product(sys, 0.5).mat)
+    assert np.any(np.abs(lam.imag) > 1e-3 * np.abs(lam))
+    direct = stable_exponents(sys, 0.5)
+    assert direct.reliable
+    assert direct.values[0] == pytest.approx(direct.values[1], abs=1e-9)
+    got = locate_exponents(sys, 0.5, tol=1e-8)
+    assert got.reliable
+    assert np.max(np.abs(np.asarray(got.values) - direct.values)) < 1e-6
+
+
+def test_locate_double_zero_right_or_flagged():
+    # clean 2x1 bar at an energy where the in-band mode turns by nearly
+    # 17 pi over 40 steps, so its block of the product is close to -I:
+    # the two zero exponents come from a near-coincident conjugate pair
+    cfg = AndersonConfig(wx=2, wy=1, length=40, disorder=0.0, seed=1,
+                         energy=1.469878)
+    oracle = np.asarray(clean_limit_exponents(cfg).values)
+    got = locate_exponents(generate(cfg), 1.469878, tol=1e-6)
+    assert len(got.values) == 4
+    err = float(np.max(np.abs(np.asarray(got.values) - oracle)))
+    assert err < 1e-6 or not got.reliable
+
+
+def test_locate_factorization_budget(monkeypatch):
+    calls = []
+    factor = RingBandWorkspace.factor
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingBandWorkspace, "factor", counted)
+    sys = generate(AndersonConfig(wx=2, wy=2, length=40, disorder=18.0, seed=1))
+    exps = locate_exponents(sys, 0.5)
+    assert exps.reliable and len(exps.values) == 8
+    assert len(calls) <= 300 * 8
+
+
 def test_jensen_frozen_scalar_value():
     sys = scalar_chain(6)
     lhs, rhs = jensen_relation(sys, 3.0, 0.0)
@@ -248,6 +293,14 @@ def test_jensen_trivial_regimes():
         lhs, rhs = jensen_relation(sys, 3.0, xi)
         assert lhs == pytest.approx(expect, abs=1e-9)
         assert abs(lhs - rhs) < 1e-8
+
+
+def test_jensen_accepts_precomputed_exponents():
+    sys = scalar_chain(6)
+    located = locate_exponents(sys, 3.0, tol=1e-8)
+    for xi in (0.0, 0.31):
+        assert jensen_relation(sys, 3.0, xi, exponents=located) == pytest.approx(
+            jensen_relation(sys, 3.0, xi), abs=1e-8)
 
 
 def test_jensen_random_systems():
