@@ -11,19 +11,18 @@ from .anderson import (AndersonConfig, anderson_meta, build_slice,
                        clean_limit_exponents, generate,
                        transverse_mode_energies)
 from .counting import (CountingSample, QuadratureSpec, counting_function,
-                       counting_function_corner, counting_integrand,
-                       counting_integrand_corner, counting_sweep,
-                       imaginary_part_check, jensen_relation, locate_exponents,
-                       positive_exponent_sum, total_exponent_sum)
-from .hamiltonian import (CornerBlocks, RingBandWorkspace, RingHamiltonian,
-                          ScaleOverflowError, SpectrumCollisionError,
-                          build_hamiltonian, det_shifted, duality_residual,
-                          resolvent_corners_balanced, resolvent_corners_open,
-                          similarity_transform_check)
-from .logscale import ScaledComplex, relative_difference, scaled_product
-from .operators import (BlockTridiagonalSystem, HermitianTag, ValidationError,
-                        ValidationReport, hermitian_check, load_meta,
-                        load_system, save_system, validate_system)
+                       counting_integrand, counting_integrand_corner,
+                       counting_sweep, imaginary_part_check, jensen_relation,
+                       locate_exponents, positive_exponent_sum,
+                       total_exponent_sum)
+from .hamiltonian import (CornerBlocks, RingBandWorkspace, ScaleOverflowError,
+                          SpectrumCollisionError, build_hamiltonian,
+                          det_shifted, duality_residual,
+                          resolvent_corners_open, similarity_transform_check)
+from .logscale import ScaledComplex, relative_difference
+from .operators import (BlockTridiagonalSystem, ValidationError,
+                        ValidationReport, hermitian_check, load_system,
+                        save_system, validate_system)
 from .transfer import (ExponentSet, NumericalError, TransferMatrix,
                        direct_count, one_step_transfer, stable_exponents,
                        transfer_product)
@@ -34,11 +33,9 @@ __all__ = [
     "CornerBlocks",
     "CountingSample",
     "ExponentSet",
-    "HermitianTag",
     "NumericalError",
     "QuadratureSpec",
     "RingBandWorkspace",
-    "RingHamiltonian",
     "ScaleOverflowError",
     "ScaledComplex",
     "SpectrumCollisionError",
@@ -50,7 +47,6 @@ __all__ = [
     "build_slice",
     "clean_limit_exponents",
     "counting_function",
-    "counting_function_corner",
     "counting_integrand",
     "counting_integrand_corner",
     "counting_sweep",
@@ -61,16 +57,13 @@ __all__ = [
     "hermitian_check",
     "imaginary_part_check",
     "jensen_relation",
-    "load_meta",
     "load_system",
     "locate_exponents",
     "one_step_transfer",
     "positive_exponent_sum",
     "relative_difference",
-    "resolvent_corners_balanced",
     "resolvent_corners_open",
     "save_system",
-    "scaled_product",
     "similarity_transform_check",
     "stable_exponents",
     "total_exponent_sum",

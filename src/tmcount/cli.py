@@ -62,10 +62,12 @@ def cmd_gen_anderson(args) -> int:
 
 def cmd_count(args) -> int:
     system = load_system(args.system)
+    if not (math.isfinite(args.xi_min) and math.isfinite(args.xi_max)):
+        raise ValueError(f"--xi-min and --xi-max must be finite, got "
+                         f"{args.xi_min!r} and {args.xi_max!r}")
     grid = np.linspace(args.xi_min, args.xi_max, args.xi_steps)
     quad = QuadratureSpec(n_phi=args.nphi)
-    samples = counting_sweep(system, _parse_energy(args.energy), grid, quad,
-                             method=args.method)
+    samples = counting_sweep(system, _parse_energy(args.energy), grid, quad)
     fh, close = _open_out(args.output)
     try:
         writer = csv.writer(fh)
@@ -215,7 +217,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--xi-max", type=float, default=2.0)
     p.add_argument("--xi-steps", type=int, default=81)
     p.add_argument("--nphi", type=int, default=64)
-    p.add_argument("--method", choices=("balanced", "corner"), default="balanced")
     p.add_argument("-o", "--output", default=None)
     p.set_defaults(func=cmd_count)
 

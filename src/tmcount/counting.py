@@ -5,13 +5,19 @@ blocks of the balanced ring resolvent sampled on the circle of radius
 e^xi.  The integrand is periodic in the angle with period 2*pi/n, so a
 uniform trapezoid rule converges geometrically away from the jumps; the
 average is the raw value, and 2m times it rounds to an integer count.
+This is the one counting path: the balanced ring keeps its entries at
+the scale e^|xi|, so it holds at any length.  The paper's open-chain
+corner formula, in which z^n appears explicitly, is kept only as the
+one-angle value counting_integrand_corner, a cross-check that is
+accurate while n*|xi| is small enough for its inner matrices to
+resolve e^{n|xi - xi_a|}.
 
 Near a jump the quadrature cannot settle: samples blow up when a grid
 angle lands next to a zero of the characteristic polynomial, and the
 quantization residual stalls.  Both conditions are detected; suspect
 grids are retried once with a half-step angular shift, resolution is
-escalated while it still pays, and surviving trouble is flagged as
-near_eigenvalue rather than hidden.
+escalated while it still pays, and a count whose residual stays above
+the escalation threshold is flagged near_eigenvalue rather than hidden.
 
 Exponent location rests on an identity that is exact for the P-angle
 trapezoid rule: m + (grid mean) = sum_a 1/(1 - (lambda_a/w_0)^P), with
@@ -41,10 +47,13 @@ from .operators import BlockTridiagonalSystem
 from .transfer import (ExponentSet, NumericalError, one_step_transfer,
                        stable_exponents)
 
-#: escalate the quadrature while the quantization residual exceeds this
+#: escalate the quadrature while the quantization residual exceeds
+#: this; a count whose kept residual stays above it is flagged
+#: near_eigenvalue
 ESCALATE_RESIDUAL = 1e-4
 
-#: flag the sample as near_eigenvalue above this quantization residual
+#: the locator's bracket edges count cleanly below this quantization
+#: residual
 NEAR_RESIDUAL = 0.25
 
 #: stop escalating when one step improves the residual less than this
@@ -57,13 +66,13 @@ _MAX_BRACKET_GROWTH = 64
 class QuadratureSpec:
     """Uniform trapezoid rule on the periodic angular interval.
 
-    n_phi samples per period; when auto_escalate is set, the sample
-    count grows by factors of 4 up to max_n_phi while the quantization
-    residual is above ESCALATE_RESIDUAL and still improving.
+    n_phi samples per period; the sample count grows by factors of 4 up
+    to max_n_phi while the quantization residual is above
+    ESCALATE_RESIDUAL and still improving.  max_n_phi == n_phi keeps the
+    grid fixed.
     """
 
     n_phi: int = 64
-    auto_escalate: bool = True
     max_n_phi: int = 1024
 
     def __post_init__(self):
@@ -108,43 +117,52 @@ def _round_count(raw_re: float, m: int) -> int:
     return min(max(c, 0), 2 * m)
 
 
+def _trace_at(ws: RingBandWorkspace, energy: complex, xi: float, phi: float,
+              context: str) -> complex:
+    """The counting integrand at one angle, from one banded factorization.
+
+    tr[z G_1n B_n - (1/z) G_n1 C_1] with z = e^{xi + i phi} and G the
+    balanced ring resolvent at energy.
+    """
+    sys = ws.sys
+    z = cmath.exp(complex(xi, phi))
+    f = ws.factor(energy, "balanced", z)
+    f.require_nonsingular(f"{context} at xi={xi:.6g}, phi={phi:.6g}")
+    b11, b1n, bn1, bnn = f.corner_solve()
+    return complex(z * np.trace(b1n @ sys.B[sys.n - 1])
+                   - np.trace(bn1 @ sys.C[0]) / z)
+
+
 def _balanced_traces(ws: RingBandWorkspace, energy: complex, xi: float,
                      n_phi: int, shift: bool) -> np.ndarray:
-    sys = ws.sys
-    n, m = sys.n, sys.m
-    B_last = sys.B[n - 1]
-    C_first = sys.C[0]
-    step = 2.0 * math.pi / (n * n_phi)
+    step = 2.0 * math.pi / (ws.n * n_phi)
     out = np.empty(n_phi, dtype=complex)
     for j in range(n_phi):
         phi = (j + (0.5 if shift else 0.0)) * step
-        z = cmath.exp(complex(xi, phi))
-        f = ws.factor(energy, "balanced", z)
-        f.require_nonsingular(f"counting contour at xi={xi:.6g}, phi={phi:.6g}")
-        b11, b1n, bn1, bnn = f.corner_solve()
-        out[j] = z * np.trace(b1n @ B_last) - np.trace(bn1 @ C_first) / z
+        out[j] = _trace_at(ws, energy, xi, phi, "counting contour")
     return out
 
 
-def _sample_with_retry(sampler, m: int, n_phi: int):
-    """Average the sampler's grid, retrying once with a half-step shift.
+def _sample_with_retry(ws: RingBandWorkspace, energy: complex, xi: float,
+                       n_phi: int):
+    """Average the contour grid, retrying once with a half-step shift.
 
     The shift is taken on a spectrum collision or when some sample is
     implausibly large (grid angle next to a zero); whichever grid has
     the smaller peak magnitude wins.  Returns (mean, max_abs).
     """
-    threshold = _magnitude_threshold(m, n_phi)
+    threshold = _magnitude_threshold(ws.m, n_phi)
     plain = None
     plain_exc = None
     try:
-        s = sampler(n_phi, False)
+        s = _balanced_traces(ws, energy, xi, n_phi, False)
         plain = (complex(s.mean()), float(np.max(np.abs(s))))
         if plain[1] <= threshold:
             return plain
     except SpectrumCollisionError as exc:
         plain_exc = exc
     try:
-        s = sampler(n_phi, True)
+        s = _balanced_traces(ws, energy, xi, n_phi, True)
         shifted = (complex(s.mean()), float(np.max(np.abs(s))))
     except SpectrumCollisionError:
         if plain is not None:
@@ -155,19 +173,20 @@ def _sample_with_retry(sampler, m: int, n_phi: int):
     return plain
 
 
-def _adaptive_raw(sampler, m: int, quad: QuadratureSpec):
+def _adaptive_raw(ws: RingBandWorkspace, energy: complex, xi: float,
+                  quad: QuadratureSpec):
     """Escalating quadrature; returns (raw, residual, max_abs, n_phi)."""
+    m = ws.m
     n_phi = quad.n_phi
     prev_residual = None
     best = None
     while True:
-        mean, max_abs = _sample_with_retry(sampler, m, n_phi)
+        mean, max_abs = _sample_with_retry(ws, energy, xi, n_phi)
         raw = 0.5 + mean / (2.0 * m)
         residual = _quantization_residual(raw.real, m)
         if best is None or residual < best[1]:
             best = (raw, residual, max_abs, n_phi)
-        if (not quad.auto_escalate or n_phi >= quad.max_n_phi
-                or residual <= ESCALATE_RESIDUAL):
+        if n_phi >= quad.max_n_phi or residual <= ESCALATE_RESIDUAL:
             break
         if prev_residual is not None and residual > prev_residual / FUTILITY_FACTOR:
             break
@@ -177,19 +196,13 @@ def _adaptive_raw(sampler, m: int, quad: QuadratureSpec):
 
 
 def counting_integrand(sys: BlockTridiagonalSystem, energy: complex, xi: float,
-                       phi: float, workspace: RingBandWorkspace | None = None) -> complex:
+                       phi: float) -> complex:
     """Trace of the corner-block combination at one contour angle.
 
     Value of tr[z G_1n B_n - (1/z) G_n1 C_1] with z = e^{xi + i phi} and
     G the balanced ring resolvent at energy.
     """
-    ws = workspace if workspace is not None else RingBandWorkspace(sys)
-    z = cmath.exp(complex(xi, phi))
-    f = ws.factor(energy, "balanced", z)
-    f.require_nonsingular(f"counting integrand at xi={xi:.6g}, phi={phi:.6g}")
-    b11, b1n, bn1, bnn = f.corner_solve()
-    return complex(z * np.trace(b1n @ sys.B[sys.n - 1])
-                   - np.trace(bn1 @ sys.C[0]) / z)
+    return _trace_at(RingBandWorkspace(sys), energy, xi, phi, "counting integrand")
 
 
 def counting_function(sys: BlockTridiagonalSystem, energy: complex, xi: float,
@@ -199,59 +212,31 @@ def counting_function(sys: BlockTridiagonalSystem, energy: complex, xi: float,
 
     raw = 1/2 + (1/2m) * (grid average of counting_integrand); the 1/2
     absorbs the constant term of the logarithmic derivative, which is
-    never quadratured.  count = round(2m * raw.re).
+    never quadratured.  count = round(2m * raw.re).  near_eigenvalue is
+    set when the kept residual stays above ESCALATE_RESIDUAL or a sample
+    was implausibly large: the count may then be off by one.
     """
     if abs(xi) > OVERFLOW_GUARD:
         raise ScaleOverflowError(f"|xi| = {abs(xi):.3g} exceeds the overflow guard")
     if quad is None:
         quad = QuadratureSpec()
     ws = workspace if workspace is not None else RingBandWorkspace(sys)
-
-    def sampler(n_phi, shift):
-        return _balanced_traces(ws, energy, xi, n_phi, shift)
-
-    raw, residual, max_abs, n_used = _adaptive_raw(sampler, sys.m, quad)
-    near = residual > NEAR_RESIDUAL or max_abs > _magnitude_threshold(sys.m, n_used)
+    raw, residual, max_abs, n_used = _adaptive_raw(ws, energy, xi, quad)
+    near = residual > ESCALATE_RESIDUAL or max_abs > _magnitude_threshold(sys.m, n_used)
     return CountingSample(xi=xi, raw=raw, count=_round_count(raw.real, sys.m),
                           n_phi=n_used, residual=residual, near_eigenvalue=near)
 
 
-# ---------------------------------------------------------------------------
-# corner-block (open chain) path
-# ---------------------------------------------------------------------------
-
-def _corner_products(sys: BlockTridiagonalSystem, g):
-    return (sys.B[sys.n - 1] @ g.b_1n, sys.B[sys.n - 1] @ g.b_11,
-            sys.C[0] @ g.b_nn, sys.C[0] @ g.b_n1)
-
-
-def _corner_trace_at(products, m: int, big_z: complex, variant: str) -> complex:
-    bg1n, bg11, cgnn, cgn1 = products
-    eye = np.eye(m)
-    upper = big_z * bg1n + eye
-    lower = cgn1 / big_z + eye
-    try:
-        if variant == "matrix":
-            M = np.block([[-upper, -big_z * bg11], [cgnn / big_z, lower]])
-            return complex(np.trace(np.linalg.inv(M)))
-        t1 = -np.trace(np.linalg.inv(upper - bg11 @ np.linalg.solve(lower, cgnn)))
-        t2 = np.trace(np.linalg.inv(lower - cgnn @ np.linalg.solve(upper, bg11)))
-        return complex(t1 + t2)
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumCollisionError(
-            f"corner-path inner matrix singular at z^n = {big_z:.6g}") from exc
-
-
 def counting_integrand_corner(sys: BlockTridiagonalSystem, energy: complex,
-                              xi: float, phi: float, g=None,
-                              variant: str = "schur") -> complex:
-    """Corner-path value of the counting integrand at one angle.
+                              xi: float, phi: float, g=None) -> complex:
+    """The paper's corner-block value of the counting integrand at one angle.
 
-    Uses the z-independent open-chain corner blocks g; z^n appears
-    explicitly, so the overflow guard on n*|xi| applies.
+    Uses the z-independent open-chain corner blocks g and two m x m
+    Schur complements.  z^n appears explicitly, so the overflow guard
+    on n*|xi| applies, and well inside it the inner matrices must still
+    resolve e^{n|xi - xi_a|}: this is a cross-check of
+    counting_integrand, not a counting path.
     """
-    if variant not in ("schur", "matrix"):
-        raise ValueError(f"unknown corner variant {variant!r}")
     if sys.n * abs(xi) > OVERFLOW_GUARD:
         raise ScaleOverflowError(
             f"n*|xi| = {sys.n * abs(xi):.1f} exceeds the overflow guard; "
@@ -259,81 +244,40 @@ def counting_integrand_corner(sys: BlockTridiagonalSystem, energy: complex,
     if g is None:
         g = resolvent_corners_open(sys, energy)
     big_z = cmath.exp(complex(sys.n * xi, sys.n * phi))
-    return _corner_trace_at(_corner_products(sys, g), sys.m, big_z, variant)
-
-
-def counting_function_corner(sys: BlockTridiagonalSystem, energy: complex,
-                             xi: float, quad: QuadratureSpec | None = None,
-                             g=None, variant: str = "schur") -> CountingSample:
-    """Counting function through the open-chain corner blocks.
-
-    Same semantics as counting_function; after the one-time resolvent of
-    the corner-free chain, each angle costs only small-matrix algebra.
-    The Schur variant inverts two m x m matrices per angle, the matrix
-    variant one 2m x 2m matrix; they agree to rounding.
-    """
-    if variant not in ("schur", "matrix"):
-        raise ValueError(f"unknown corner variant {variant!r}")
-    if sys.n * abs(xi) > OVERFLOW_GUARD:
-        raise ScaleOverflowError(
-            f"n*|xi| = {sys.n * abs(xi):.1f} exceeds the overflow guard; "
-            "use the balanced path")
-    if quad is None:
-        quad = QuadratureSpec()
-    if g is None:
-        g = resolvent_corners_open(sys, energy)
-    products = _corner_products(sys, g)
-    n, m = sys.n, sys.m
-    step = 2.0 * math.pi / n
-
-    def sampler(n_phi, shift):
-        out = np.empty(n_phi, dtype=complex)
-        for j in range(n_phi):
-            phi = (j + (0.5 if shift else 0.0)) * step / n_phi
-            big_z = cmath.exp(complex(n * xi, n * phi))
-            out[j] = _corner_trace_at(products, m, big_z, variant)
-        return out
-
-    raw, residual, max_abs, n_used = _adaptive_raw(sampler, m, quad)
-    near = residual > NEAR_RESIDUAL or max_abs > _magnitude_threshold(m, n_used)
-    return CountingSample(xi=xi, raw=raw, count=_round_count(raw.real, m),
-                          n_phi=n_used, residual=residual, near_eigenvalue=near)
+    bg1n, bg11 = sys.B[sys.n - 1] @ g.b_1n, sys.B[sys.n - 1] @ g.b_11
+    cgnn, cgn1 = sys.C[0] @ g.b_nn, sys.C[0] @ g.b_n1
+    eye = np.eye(sys.m)
+    upper = big_z * bg1n + eye
+    lower = cgn1 / big_z + eye
+    try:
+        t1 = -np.trace(np.linalg.inv(upper - bg11 @ np.linalg.solve(lower, cgnn)))
+        t2 = np.trace(np.linalg.inv(lower - cgnn @ np.linalg.solve(upper, bg11)))
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumCollisionError(
+            f"corner-path inner matrix singular at z^n = {big_z:.6g}") from exc
+    return complex(t1 + t2)
 
 
 def counting_sweep(sys: BlockTridiagonalSystem, energy: complex, xi_grid,
-                   quad: QuadratureSpec | None = None,
-                   method: str = "balanced") -> list[CountingSample]:
-    """Counting samples over a strictly increasing grid of levels.
+                   quad: QuadratureSpec | None = None) -> list[CountingSample]:
+    """Counting samples over a strictly increasing grid of finite levels.
 
     Per-point spectrum collisions are recorded in the sample's error
     field and the sweep continues; counts are monotone non-decreasing
     away from flagged points.
     """
-    if method not in ("balanced", "corner"):
-        raise ValueError(f"unknown sweep method {method!r}")
     xi_grid = [float(x) for x in xi_grid]
+    if not all(math.isfinite(x) for x in xi_grid):
+        raise ValueError("xi grid must be finite")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
         raise ValueError("xi grid must be strictly increasing")
     if quad is None:
         quad = QuadratureSpec()
     out = []
-    if not xi_grid:
-        return out
-    if method == "corner":
-        if sys.n * max(abs(x) for x in xi_grid) > OVERFLOW_GUARD:
-            raise ScaleOverflowError(
-                "corner sweep grid exceeds the z^n overflow guard; "
-                "use the balanced method")
-        g = resolvent_corners_open(sys, energy)
-    else:
-        g = None
     ws = RingBandWorkspace(sys)
     for x in xi_grid:
         try:
-            if method == "balanced":
-                out.append(counting_function(sys, energy, x, quad, workspace=ws))
-            else:
-                out.append(counting_function_corner(sys, energy, x, quad, g=g))
+            out.append(counting_function(sys, energy, x, quad, workspace=ws))
         except SpectrumCollisionError:
             out.append(CountingSample(
                 xi=x, raw=complex(math.nan, math.nan), count=-1,
@@ -552,7 +496,6 @@ def _invert_group(level, a: _Level, b: _Level, n: int, n_phi: int, tol: float):
 
 
 def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
-                     quad: QuadratureSpec | None = None,
                      bracket=None, tol: float = 1e-6) -> ExponentSet:
     """All 2m exponents, with multiplicity, from the counting function.
 
@@ -575,11 +518,11 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     within tol, or a cluster's roots reproducing its unused power sum
     with an error bound within tol.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
     n, m = sys.n, sys.m
     two_m = 2 * m
-    n_phi = quad.n_phi if quad is not None else int(np.clip(1024 // n, 16, 256))
+    n_phi = int(np.clip(1024 // n, 16, 256))
     n_p = n * n_phi
     ws = RingBandWorkspace(sys)
 
@@ -652,14 +595,15 @@ def _log_abs_det_b(sys: BlockTridiagonalSystem) -> float:
 
 
 def _ring_logdet_average(sys: BlockTridiagonalSystem, energy: complex,
-                         xi: float, n_phi: int) -> float:
+                         xi: float) -> float:
     """Full-circle average of log|det[ring(e^{n xi + i phi}) - energy]|.
 
-    Evaluated through the balanced variant at radius e^xi, whose
-    determinant is identical and whose entries stay at scale e^|xi|.
+    Evaluated on 512 angles through the balanced variant at radius e^xi,
+    whose determinant is identical and whose entries stay at scale e^|xi|.
     """
     ws = RingBandWorkspace(sys)
     n = sys.n
+    n_phi = 512
     for shift in (False, True):
         vals = np.empty(n_phi)
         ok = True
@@ -678,7 +622,6 @@ def _ring_logdet_average(sys: BlockTridiagonalSystem, energy: complex,
 
 
 def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
-                    quad: QuadratureSpec | None = None,
                     exponents: ExponentSet | None = None):
     """Both sides of the log-determinant sum rule at level xi.
 
@@ -687,7 +630,6 @@ def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
     locator otherwise); rhs from the full-circle quadrature of log|det|
     minus the coupling normalization.  Returns (lhs, rhs).
     """
-    n_phi = quad.n_phi if quad is not None else 512
     xs = exponents
     if xs is None:
         xs = stable_exponents(sys, energy)
@@ -695,20 +637,18 @@ def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
             xs = locate_exponents(sys, energy)
     m, n = sys.m, sys.n
     lhs = sum(abs(x - xi) + x + xi for x in xs.values) / (2.0 * m) - xi
-    rhs = (_ring_logdet_average(sys, energy, xi, n_phi) / (m * n)
+    rhs = (_ring_logdet_average(sys, energy, xi) / (m * n)
            - _log_abs_det_b(sys) / (m * n))
     return lhs, rhs
 
 
-def positive_exponent_sum(sys: BlockTridiagonalSystem, energy: complex,
-                          quad: QuadratureSpec | None = None) -> float:
+def positive_exponent_sum(sys: BlockTridiagonalSystem, energy: complex) -> float:
     """(1/m) * (sum of positive exponents) from quadrature alone.
 
     The unit-radius case of the sum rule; no exponents are computed.
     """
-    n_phi = quad.n_phi if quad is not None else 512
     m, n = sys.m, sys.n
-    return (_ring_logdet_average(sys, energy, 0.0, n_phi) / (m * n)
+    return (_ring_logdet_average(sys, energy, 0.0) / (m * n)
             - _log_abs_det_b(sys) / (m * n))
 
 
@@ -723,16 +663,10 @@ def total_exponent_sum(sys: BlockTridiagonalSystem) -> float:
 
 
 def imaginary_part_check(sys: BlockTridiagonalSystem, energy: complex,
-                         xi: float, quad: QuadratureSpec | None = None) -> float:
-    """|grid average of Im(counting integrand)|; vanishes when valid.
+                         xi: float) -> float:
+    """|64-angle grid average of Im(counting integrand)|; vanishes when valid.
 
     Individual samples need not be real; only the average is.
     """
-    n_phi = quad.n_phi if quad is not None else 64
-    ws = RingBandWorkspace(sys)
-
-    def sampler(k, shift):
-        return _balanced_traces(ws, energy, xi, k, shift)
-
-    mean, _ = _sample_with_retry(sampler, sys.m, n_phi)
+    mean, _ = _sample_with_retry(RingBandWorkspace(sys), energy, xi, 64)
     return abs(mean.imag)

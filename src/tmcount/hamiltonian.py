@@ -11,12 +11,16 @@ Three variants of the mn x mn ring matrix are used:
   ``|z|**n``;
 * ``corner_free``: the open chain, corners removed, z-independent.
 
-Shifted determinants and resolvent corner blocks are computed through a
-banded LU factorization.  The ring ordering 1, n, 2, n-1, ... folds the
-corner blocks into a band of block width two, so the factorization is
+``build_hamiltonian`` assembles a variant densely, for the identity
+checks and tests.  Everything else works on ``RingBandWorkspace``:
+shifted determinants and resolvent corner blocks come from a banded LU
+factorization.  The ring ordering 1, n, 2, n-1, ... folds the corner
+blocks into a band of block width two, so the factorization is
 partial-pivoted LAPACK ``gbtrf`` on a genuinely banded matrix: stable at
 any contour radius and linear-time in n.  The full inverse is never
-formed; corner blocks come from solves against 2m unit columns.
+formed; corner blocks come from solves against 2m unit columns.  The
+counting path factors the balanced variant; the open-chain corners of
+``resolvent_corners_open`` serve only the corner-formula cross-check.
 """
 
 from __future__ import annotations
@@ -51,32 +55,13 @@ class ScaleOverflowError(NumericalError):
 
 
 @dataclass(frozen=True)
-class RingHamiltonian:
-    """A dense ring operator together with its variant and weight."""
-
-    kind: str
-    z: complex | None
-    matrix: np.ndarray
-
-    def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        m.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-
-
-@dataclass(frozen=True)
 class CornerBlocks:
-    """The four m x m corner blocks of a ring resolvent.
-
-    ``source`` records which route produced them ("balanced" for the
-    ring resolvent at radius |z|, "open" for the corner-free chain).
-    """
+    """The four m x m corner blocks of the open-chain resolvent."""
 
     b_1n: np.ndarray
     b_11: np.ndarray
     b_nn: np.ndarray
     b_n1: np.ndarray
-    source: str
 
 
 def _check_variant(kind: str, z):
@@ -90,8 +75,11 @@ def _check_variant(kind: str, z):
 
 
 def build_hamiltonian(sys: BlockTridiagonalSystem, kind: str,
-                      z: complex | None = None) -> RingHamiltonian:
-    """Assemble the dense mn x mn ring operator of the given variant."""
+                      z: complex | None = None) -> np.ndarray:
+    """Assemble the dense mn x mn ring operator of the given variant.
+
+    The returned matrix is read-only.
+    """
     _check_variant(kind, z)
     m, n = sys.m, sys.n
     H = np.zeros((m * n, m * n), dtype=complex)
@@ -104,8 +92,8 @@ def build_hamiltonian(sys: BlockTridiagonalSystem, kind: str,
     if kind != "corner_free":
         H[0:m, (n - 1) * m:] = sys.C[0] / z
         H[(n - 1) * m:, 0:m] = z * sys.B[n - 1]
-    return RingHamiltonian(kind=kind, z=None if kind == "corner_free" else complex(z),
-                           matrix=H)
+    H.setflags(write=False)
+    return H
 
 
 # ---------------------------------------------------------------------------
@@ -308,19 +296,19 @@ def similarity_transform_check(sys: BlockTridiagonalSystem, z: complex) -> float
         raise ScaleOverflowError(
             f"|log|z||*n = {n * abs(math.log(abs(z))):.1f} exceeds the "
             f"overflow guard {OVERFLOW_GUARD}")
-    Hb = build_hamiltonian(sys, "balanced", z).matrix
+    Hb = build_hamiltonian(sys, "balanced", z)
 
     def conjugate(mat, w):
         powers = np.power(w, np.arange(1, n + 1))
         fac = np.repeat(powers, m)
         return mat * fac[:, None] / fac[None, :]
 
-    Hpow = build_hamiltonian(sys, "plain", z ** n).matrix
+    Hpow = build_hamiltonian(sys, "plain", z ** n)
     res1 = np.linalg.norm(conjugate(Hb, z) - Hpow, np.inf)
     res1 /= max(1.0, np.linalg.norm(Hpow, np.inf))
 
     omega = cmath.exp(2j * math.pi / n)
-    Hrot = build_hamiltonian(sys, "balanced", z * omega.conjugate()).matrix
+    Hrot = build_hamiltonian(sys, "balanced", z * omega.conjugate())
     res2 = np.linalg.norm(conjugate(Hb, omega) - Hrot, np.inf)
     res2 /= max(1.0, np.linalg.norm(Hrot, np.inf))
     return float(max(res1, res2))
@@ -371,31 +359,14 @@ def duality_residual(sys: BlockTridiagonalSystem, energy: complex,
     return relative_difference(lhs, rhs)
 
 
-def resolvent_corners_balanced(sys: BlockTridiagonalSystem, energy: complex,
-                               z: complex,
-                               workspace: RingBandWorkspace | None = None) -> CornerBlocks:
-    """Corner blocks of [balanced(z) - energy]^{-1}.
-
-    One banded factorization and 2m right-hand-side solves; raises
-    SpectrumCollisionError when the contour point sits on the spectrum.
-    """
-    ws = workspace if workspace is not None else RingBandWorkspace(sys)
-    f = ws.factor(energy, "balanced", z)
-    f.require_nonsingular(f"balanced resolvent at z={z:.6g}")
-    b11, b1n, bn1, bnn = f.corner_solve()
-    return CornerBlocks(b_1n=b1n, b_11=b11, b_nn=bnn, b_n1=bn1, source="balanced")
-
-
-def resolvent_corners_open(sys: BlockTridiagonalSystem, energy: complex,
-                           workspace: RingBandWorkspace | None = None) -> CornerBlocks:
+def resolvent_corners_open(sys: BlockTridiagonalSystem, energy: complex) -> CornerBlocks:
     """Corner blocks of the open-chain resolvent [corner_free - energy]^{-1}.
 
-    z-independent, so one factorization serves a whole contour sweep.
-    Raises SpectrumCollisionError when the energy is an eigenvalue of
-    the open chain, where this route is undefined.
+    z-independent, so one factorization serves every angle of the
+    corner-formula check.  Raises SpectrumCollisionError when the energy
+    is an eigenvalue of the open chain, where this route is undefined.
     """
-    ws = workspace if workspace is not None else RingBandWorkspace(sys)
-    f = ws.factor(energy, "corner_free")
+    f = RingBandWorkspace(sys).factor(energy, "corner_free")
     f.require_nonsingular("open-chain resolvent")
     b11, b1n, bn1, bnn = f.corner_solve()
-    return CornerBlocks(b_1n=b1n, b_11=b11, b_nn=bnn, b_n1=bn1, source="open")
+    return CornerBlocks(b_1n=b1n, b_11=b11, b_nn=bnn, b_n1=bn1)

@@ -11,7 +11,6 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 
 @dataclass(frozen=True)
@@ -53,14 +52,6 @@ class ScaledComplex:
         m = self.mantissa * other.mantissa
         # renormalize; |m| can drift from 1 by rounding
         return ScaledComplex(m / abs(m), self.log_modulus + other.log_modulus)
-
-
-def scaled_product(factors: Iterable[complex]) -> ScaledComplex:
-    """Product of plain complex factors, accumulated in log scale."""
-    out = ScaledComplex(1.0 + 0j, 0.0)
-    for f in factors:
-        out = out * ScaledComplex.from_complex(f)
-    return out
 
 
 def relative_difference(a: ScaledComplex, b: ScaledComplex) -> float:

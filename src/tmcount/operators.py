@@ -130,18 +130,8 @@ def validate_system(sys: BlockTridiagonalSystem,
     return ValidationReport(issues=tuple(issues))
 
 
-@dataclass(frozen=True)
-class HermitianTag:
-    """Whether a system defines a Hermitian ring operator."""
-
-    is_hermitian: bool
-
-    def __bool__(self) -> bool:
-        return self.is_hermitian
-
-
-def hermitian_check(sys: BlockTridiagonalSystem, tol: float = 1e-10) -> HermitianTag:
-    """Tag the system Hermitian or not, entrywise within tol.
+def hermitian_check(sys: BlockTridiagonalSystem, tol: float = 1e-10) -> bool:
+    """Whether the system is Hermitian, entrywise within tol.
 
     Requires A_k Hermitian, each backward block the adjoint of the
     previous forward block, and the ring-closure block C_1 equal to the
@@ -155,7 +145,7 @@ def hermitian_check(sys: BlockTridiagonalSystem, tol: float = 1e-10) -> Hermitia
     ok = ok and all(_same(sys.C[k], sys.B[k - 1].conj().T)
                     for k in range(1, sys.n))
     ok = ok and _same(sys.C[0], sys.B[sys.n - 1].conj().T)
-    return HermitianTag(is_hermitian=bool(ok))
+    return bool(ok)
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +154,15 @@ def hermitian_check(sys: BlockTridiagonalSystem, tol: float = 1e-10) -> Hermitia
 # Schema: {"m": int, "n": int, "A": [block, ...], "B": [...], "C": [...]}
 # where each block is an m x m row-major array of [re, im] pairs.  An
 # optional "meta" object carries provenance (used by the disorder
-# generator) and is ignored on load.
+# generator) and is ignored on load.  JSON booleans are not numbers here.
 # ---------------------------------------------------------------------------
 
 def _block_to_json(block: np.ndarray):
     return [[[float(x.real), float(x.imag)] for x in row] for row in block]
+
+
+def _is_number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool)
 
 
 def _block_from_json(entry, m: int, ctx: str, issues: list) -> np.ndarray:
@@ -182,7 +176,7 @@ def _block_from_json(entry, m: int, ctx: str, issues: list) -> np.ndarray:
             return arr
         for j, pair in enumerate(row):
             if (not isinstance(pair, list) or len(pair) != 2
-                    or not all(isinstance(v, (int, float)) for v in pair)):
+                    or not all(_is_number(v) for v in pair)):
                 issues.append(f"{ctx} entry ({i},{j}): expected [re, im]")
                 return arr
             arr[i, j] = complex(pair[0], pair[1])
@@ -229,10 +223,10 @@ def load_system(path) -> BlockTridiagonalSystem:
     issues: list = []
     m = doc.get("m")
     n = doc.get("n")
-    if not isinstance(m, int) or m < 1:
+    if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         issues.append('"m" must be a positive integer')
         m = 1
-    if not isinstance(n, int) or n < 1:
+    if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         issues.append('"n" must be a positive integer')
         n = 1
     blocks = {}
@@ -253,11 +247,3 @@ def load_system(path) -> BlockTridiagonalSystem:
     if not report.ok:
         raise ValidationError(f"{path}: " + "; ".join(report.issues))
     return sys
-
-
-def load_meta(path) -> dict | None:
-    """Return the optional "meta" object of a system file, if present."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    meta = doc.get("meta")
-    return meta if isinstance(meta, dict) else None

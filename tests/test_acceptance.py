@@ -66,7 +66,7 @@ def sweep_points(family):
     evaluated at a fixed 256-point grid without escalation.
     """
     rng = np.random.default_rng(FAMILY_SEED + 3)
-    quad = QuadratureSpec(n_phi=256, auto_escalate=False, max_n_phi=256)
+    quad = QuadratureSpec(n_phi=256, max_n_phi=256)
     rows = []
     for system, energy in family:
         exps = stable_exponents(system, energy)

@@ -2,11 +2,12 @@
 
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
-from tmcount import cli, counting, load_meta, save_system
+from tmcount import cli, counting, save_system
 from tmcount.cli import (
     EXIT_NUMERICAL,
     EXIT_OK,
@@ -44,7 +45,7 @@ def scalar_file(tmp_path):
 
 
 def test_gen_anderson_writes_file_with_meta(bar_file):
-    meta = load_meta(bar_file)
+    meta = json.loads(bar_file.read_text())["meta"]
     assert meta["model"] == "anderson-bar"
     assert meta["wx"] == 2 and meta["wy"] == 1
     assert meta["length"] == 10 and meta["seed"] == 5
@@ -86,15 +87,12 @@ def test_count_byte_identical_reruns(tmp_path, bar_file):
     assert c1.read_bytes() == c2.read_bytes()
 
 
-def test_count_corner_method_same_counts(tmp_path, scalar_file):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    base = ["count", "--system", str(scalar_file), "--energy", "3",
-            "--xi-steps", "17"]
-    assert run_cli(*base, "-o", str(a)) == EXIT_OK
-    assert run_cli(*base, "--method", "corner", "-o", str(b)) == EXIT_OK
-    counts_a = [r[3] for r in read_csv(a)[1:]]
-    counts_b = [r[3] for r in read_csv(b)[1:]]
-    assert counts_a == counts_b
+def test_count_corner_method_rejected(scalar_file):
+    # the open-chain corner path is gone from counting: it wrote wrong
+    # counts unflagged on long bars
+    with pytest.raises(SystemExit) as exc:
+        run_cli("count", "--system", str(scalar_file), "--method", "corner")
+    assert exc.value.code == EXIT_USAGE
 
 
 def test_count_complex_energy_accepted(tmp_path, bar_file):
@@ -240,6 +238,23 @@ def test_linalg_error_is_numerical_error(scalar_file, monkeypatch, capsys):
 def test_descending_grid_is_validation_error(scalar_file):
     assert run_cli("count", "--system", str(scalar_file), "--xi-min", "2",
                    "--xi-max", "-2") == EXIT_VALIDATION
+
+
+@pytest.mark.parametrize("edge", ["--xi-min=nan", "--xi-max=inf", "--xi-min=-inf"])
+def test_non_finite_grid_is_validation_error(scalar_file, edge, capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # rejected before numpy sees it
+        rc = run_cli("count", "--system", str(scalar_file), edge)
+    assert rc == EXIT_VALIDATION
+    assert "--xi-min and --xi-max must be finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "0"])
+def test_bad_tolerance_is_validation_error(scalar_file, tol, capsys):
+    rc = run_cli("exponents", "--system", str(scalar_file), "--energy", "3",
+                 f"--tol={tol}")
+    assert rc == EXIT_VALIDATION
+    assert "tol must be finite and positive" in capsys.readouterr().err
 
 
 def test_numerical_error_exit_on_spectral_energy(scalar_file):

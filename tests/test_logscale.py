@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from tmcount import ScaledComplex, relative_difference, scaled_product
+from tmcount import ScaledComplex, relative_difference
 
 
 def test_round_trip_moderate_values():
@@ -34,9 +34,16 @@ def test_multiplication_adds_logs():
     assert cmath.isclose(c.value, -6.0j, rel_tol=1e-14)
 
 
+def product(factors):
+    out = ScaledComplex(1.0 + 0j, 0.0)
+    for f in factors:
+        out = out * ScaledComplex.from_complex(f)
+    return out
+
+
 def test_product_survives_extreme_scales():
     factors = [1e200, 1e200, 1e200, 1e-150]
-    sc = scaled_product(factors)
+    sc = product(factors)
     assert sc.log_modulus == pytest.approx(
         math.log(1e200) * 3 + math.log(1e-150), rel=1e-12)
     assert abs(sc.mantissa) == pytest.approx(1.0, rel=1e-15)
@@ -45,7 +52,7 @@ def test_product_survives_extreme_scales():
 def test_product_of_phases_stays_normalized():
     rng = np.random.default_rng(61)
     phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=500))
-    sc = scaled_product(phases)
+    sc = product(phases)
     assert abs(sc.mantissa) == pytest.approx(1.0, rel=1e-12)
     assert sc.log_modulus == pytest.approx(0.0, abs=1e-10)
 

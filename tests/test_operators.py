@@ -8,14 +8,14 @@ from hypothesis import given, settings, strategies as st
 
 from tmcount import (
     BlockTridiagonalSystem,
-    HermitianTag,
     ValidationError,
     hermitian_check,
-    load_meta,
     load_system,
     save_system,
     validate_system,
 )
+
+from tmcount.cli import EXIT_VALIDATION, main
 
 from conftest import random_system, scalar_chain
 
@@ -81,9 +81,7 @@ def test_hermitian_tag_truthiness():
     rng = np.random.default_rng(5)
     sys = random_system(rng, 2, 4, hermitian=True)
     tag = hermitian_check(sys)
-    assert isinstance(tag, HermitianTag)
-    assert tag
-    assert tag.is_hermitian
+    assert tag is True
 
     # break the ring closure only: C_1 no longer adjoint of B_n
     C = list(sys.C)
@@ -111,7 +109,7 @@ def test_hermitian_construction_always_tags_hermitian(seed, m, n):
     # and on the unit circle the assembled balanced ring operator is
     # Hermitian as a matrix
     from tmcount import build_hamiltonian
-    H = build_hamiltonian(sys, "balanced", z=np.exp(0.7j)).matrix
+    H = build_hamiltonian(sys, "balanced", z=np.exp(0.7j))
     assert np.max(np.abs(H - H.conj().T)) < 1e-12
 
 
@@ -125,7 +123,7 @@ def test_save_load_round_trip_is_exact(tmp_path):
     for name in ("A", "B", "C"):
         for blk_a, blk_b in zip(getattr(sys, name), getattr(back, name)):
             assert np.array_equal(blk_a, blk_b)
-    assert load_meta(path) == {"tag": "round-trip"}
+    assert json.loads(path.read_text())["meta"] == {"tag": "round-trip"}
 
 
 def test_save_is_deterministic(tmp_path):
@@ -135,7 +133,7 @@ def test_save_is_deterministic(tmp_path):
     save_system(sys, p1)
     save_system(sys, p2)
     assert p1.read_bytes() == p2.read_bytes()
-    assert load_meta(p1) is None
+    assert "meta" not in json.loads(p1.read_text())
 
 
 def test_load_rejects_bad_json(tmp_path):
@@ -159,6 +157,35 @@ def test_load_rejects_missing_and_malformed_keys(tmp_path):
     }))
     with pytest.raises(ValidationError, match='"m" must be'):
         load_system(path)
+
+
+def _set_m(doc):
+    doc["m"] = True
+
+
+def _set_n(doc):
+    doc["n"] = True
+
+
+def _set_entry(doc):
+    doc["A"][0][0][0] = [True, False]
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (_set_m, '"m" must be'),
+    (_set_n, '"n" must be'),
+    (_set_entry, r"A\[0\] entry \(0,0\): expected \[re, im\]"),
+])
+def test_load_rejects_json_booleans(tmp_path, corrupt, message):
+    # JSON true is a Python int subclass; it must not pass as a number
+    path = tmp_path / "bool.json"
+    save_system(scalar_chain(3), path)
+    doc = json.loads(path.read_text())
+    corrupt(doc)
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match=message):
+        load_system(path)
+    assert main(["count", "--system", str(path), "--xi-steps", "3"]) == EXIT_VALIDATION
 
 
 def test_load_rejects_singular_coupling(tmp_path):
