@@ -12,32 +12,35 @@ one-angle value counting_integrand_corner, a cross-check that is
 accurate while n*|xi| is small enough for its inner matrices to
 resolve e^{n|xi - xi_a|}.
 
-Near a jump the quadrature cannot settle: samples blow up when a grid
-angle lands next to a zero of the characteristic polynomial, and the
-quantization residual stalls.  Both conditions are detected; suspect
-grids are retried once with a half-step angular shift, resolution is
-escalated while it still pays, and a count whose residual stays above
-the escalation threshold is flagged near_eigenvalue rather than hidden.
+Counting and location rest on an identity that is exact for the
+P-angle trapezoid rule: m + (grid mean) = sum_a 1/(1 - u_a), with
+u_a = (lambda_a/w_0)^P, lambda_a the eigenvalues of the transfer matrix
+and w_0 = e^{n xi} times the grid phase, so |u_a| = e^{nP(xi_a - xi)}.
+Each exponent pulls the grid mean off its integer count by about
+e^{-nP|xi - xi_a|}.  Every count follows one rule on a fixed grid of
+n_phi angles: a clean level (pull below ISOLATION_DEV) rounds; next to
+an exponent a second grid, shifted by half a step, turns u into -u, and
+the two totals give the count in closed form.  When no single exponent
+fits them, two or more are near the level (a coincident pair, or a
+complex-conjugate pair of one modulus), and the count is flagged
+near_eigenvalue rather than guessed; so is a level where one grid hit
+the spectrum and the other is not clean.
 
-Exponent location rests on an identity that is exact for the P-angle
-trapezoid rule: m + (grid mean) = sum_a 1/(1 - (lambda_a/w_0)^P), with
-lambda_a the eigenvalues of the transfer matrix and w_0 = e^{n xi} times
-the grid phase.  Each exponent pulls the grid mean off its integer
-count by about e^{-nP|xi - xi_a|}.  The locator bisects the bracket on
-the integer count, one tree shared by all exponents, splitting only at
-levels whose pull is negligible, until each interval holds one exponent
-or a cluster no such level can split.  A single exponent is then
-inverted in closed form from a sample next to it; a cluster of q
-(coincident exponents, or complex-conjugate eigenvalues of one modulus)
-from the power sums sum_a lambda_a^k, k = 1..q, which the moments of
-the same grid values at the cluster's two isolating levels give.
+The locator bisects the bracket on the integer count, one tree shared
+by all exponents, splitting only at levels whose pull is negligible,
+until each interval holds one exponent or a cluster no such level can
+split.  A single exponent is then inverted in closed form from a sample
+next to it; a cluster of q (coincident exponents, or complex-conjugate
+eigenvalues of one modulus) from the power sums sum_a lambda_a^k,
+k = 1..q, which the moments of the same grid values at the cluster's
+two isolating levels give.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -47,49 +50,37 @@ from .operators import BlockTridiagonalSystem
 from .transfer import (ExponentSet, NumericalError, one_step_transfer,
                        stable_exponents)
 
-#: escalate the quadrature while the quantization residual exceeds
-#: this; a count whose kept residual stays above it is flagged
-#: near_eigenvalue
-ESCALATE_RESIDUAL = 1e-4
-
-#: the locator's bracket edges count cleanly below this quantization
-#: residual
-NEAR_RESIDUAL = 0.25
-
-#: stop escalating when one step improves the residual less than this
-FUTILITY_FACTOR = 10.0
-
 _MAX_BRACKET_GROWTH = 64
+
+#: a level is clean when m + (grid mean) lies this close to its integer
+#: count: every exponent is then about log(1/ISOLATION_DEV)/(nP) away
+#: and pulls the grid mean by less than this.  The two-grid identity of
+#: a level that is not clean is fitted to the same tolerance.
+ISOLATION_DEV = 1e-10
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Uniform trapezoid rule on the periodic angular interval.
-
-    n_phi samples per period; the sample count grows by factors of 4 up
-    to max_n_phi while the quantization residual is above
-    ESCALATE_RESIDUAL and still improving.  max_n_phi == n_phi keeps the
-    grid fixed.
-    """
+    """Uniform trapezoid rule of n_phi angles on the periodic interval."""
 
     n_phi: int = 64
-    max_n_phi: int = 1024
 
     def __post_init__(self):
         if self.n_phi < 4:
             raise ValueError("n_phi must be at least 4")
-        if self.max_n_phi < self.n_phi:
-            raise ValueError("max_n_phi must be >= n_phi")
 
 
 @dataclass(frozen=True)
 class CountingSample:
     """One evaluation of the counting function at level xi.
 
-    raw is the complex quadrature value including the 1/2 offset; count
-    rounds 2m*raw.re to an integer in [0, 2m]; residual is the distance
-    |2m*raw.re - count| before clipping.  error is None for a computed
-    sample and a short tag when the point failed entirely.
+    raw is the complex quadrature value of the plain grid (of the
+    half-shifted one where the plain grid hit the spectrum), including
+    the 1/2 offset; residual is the distance of 2m*raw.re from its
+    nearest integer.  count is the number of exponents below xi, in
+    [0, 2m]; next to an exponent it is decided from two grids, and
+    2m*raw.re need not round to it.  error is None for a computed sample
+    and a short tag when the point failed entirely.
     """
 
     xi: float
@@ -101,20 +92,34 @@ class CountingSample:
     error: str | None = None
 
 
-def _magnitude_threshold(m: int, n_phi: int) -> float:
-    # settled integrand samples are O(m / gap); values far beyond that
-    # mean a grid angle nearly hit a zero of the determinant
-    return 20.0 * m + 0.2 * n_phi
+@dataclass(frozen=True)
+class _Level:
+    """One P-angle grid of the counting integrand at level xi.
 
+    total = m + (grid mean) equals sum_a 1/(1 - (lambda_a/w_0)^P), with
+    w_0^P = e^{nP xi} times the grid phase, so dev, its distance from the
+    integer count, is about the pull e^{-nP|xi - xi_a|} of the nearest
+    exponent.
+    """
 
-def _quantization_residual(raw_re: float, m: int) -> float:
-    t = 2.0 * m * raw_re
-    return abs(t - math.floor(t + 0.5))
+    xi: float
+    traces: np.ndarray
+    shift: bool
+    total: complex
+    count: int
+    dev: float
 
+    def moments(self, n: int, xi_c: float, kmax: int) -> np.ndarray:
+        """Grid means of (w/c)^k times the traces, k = 0..kmax, c = e^{n xi_c}.
 
-def _round_count(raw_re: float, m: int) -> int:
-    c = int(math.floor(2.0 * m * raw_re + 0.5))
-    return min(max(c, 0), 2 * m)
+        For k < P they equal sum_a (lambda_a/c)^k / (1 - (lambda_a/w_0)^P):
+        the power sums over the exponents below xi, up to the same pull.
+        """
+        p = self.traces.size
+        theta = (2.0 * math.pi / p) * (np.arange(p) + (0.5 if self.shift else 0.0))
+        ratio = np.exp(n * (self.xi - xi_c) + 1j * theta)
+        powers = np.cumprod(np.vstack([np.ones(p), np.tile(ratio, (kmax, 1))]), axis=0)
+        return powers @ self.traces / p
 
 
 def _trace_at(ws: RingBandWorkspace, energy: complex, xi: float, phi: float,
@@ -133,66 +138,75 @@ def _trace_at(ws: RingBandWorkspace, energy: complex, xi: float, phi: float,
                    - np.trace(bn1 @ sys.C[0]) / z)
 
 
-def _balanced_traces(ws: RingBandWorkspace, energy: complex, xi: float,
-                     n_phi: int, shift: bool) -> np.ndarray:
+def _level(ws: RingBandWorkspace, energy: complex, xi: float, n_phi: int,
+           shift: bool) -> _Level:
+    """The n_phi-angle grid at level xi, plain or shifted by half a step."""
     step = 2.0 * math.pi / (ws.n * n_phi)
-    out = np.empty(n_phi, dtype=complex)
+    traces = np.empty(n_phi, dtype=complex)
     for j in range(n_phi):
         phi = (j + (0.5 if shift else 0.0)) * step
-        out[j] = _trace_at(ws, energy, xi, phi, "counting contour")
-    return out
+        traces[j] = _trace_at(ws, energy, xi, phi, "counting contour")
+    total = ws.m + complex(traces.mean())
+    count = min(max(int(math.floor(total.real + 0.5)), 0), 2 * ws.m)
+    return _Level(xi=xi, traces=traces, shift=shift, total=total, count=count,
+                  dev=abs(total - count))
 
 
-def _sample_with_retry(ws: RingBandWorkspace, energy: complex, xi: float,
-                       n_phi: int):
-    """Average the contour grid, retrying once with a half-step shift.
+def _two_grid_count(plus: complex, minus: complex, two_m: int) -> int | None:
+    """The count from the totals of the plain and the half-shifted grid.
 
-    The shift is taken on a spectrum collision or when some sample is
-    implausibly large (grid angle next to a zero); whichever grid has
-    the smaller peak magnitude wins.  Returns (mean, max_abs).
+    The shift turns u_a = (lambda_a/w_0)^P into -u_a.  With one exponent
+    near the level, T+ = J + 1/(1 - u) and T- = J + 1/(1 + u), so
+    x = 1/(T+ - J) = 1 - u and y = 1/(T- - J) = 1 + u sum to 2, and the
+    exponent lies below the level when |u| = |1 - x| < 1 (the u-form).
+    In v = 1/u the same identity reads T+- = J - 1/(1 -+ v): x + y = -2,
+    and the exponent lies above the level when |v| = |1 + x| < 1 (the
+    v-form).  Each form is tried only on its own side, where x is of
+    order 1 and the fit well conditioned; J is then the one integer that
+    can fit.  None when neither fits within ISOLATION_DEV: two or more
+    exponents are near the level.
     """
-    threshold = _magnitude_threshold(ws.m, n_phi)
-    plain = None
-    plain_exc = None
+    for sign, ref in ((1, min(plus.real, minus.real)), (-1, max(plus.real, minus.real))):
+        # on one of the grids Re(T - J) lies in [1/2, 1] for the u-form
+        # and in [-1, -1/2] for the v-form
+        j = math.floor(ref - 0.75 * sign + 0.5)
+        if plus == j or minus == j:
+            continue
+        x, y = 1.0 / (plus - j), 1.0 / (minus - j)
+        if (abs(x + y - 2 * sign) <= ISOLATION_DEV and abs(1.0 - sign * x) < 1.0
+                and 0 <= j + sign <= two_m):
+            return j + sign
+    return None
+
+
+def _decide(ws: RingBandWorkspace, energy: complex, xi: float,
+            n_phi: int) -> tuple[_Level, bool]:
+    """The count at level xi by the one rule of this module.
+
+    A clean plain grid rounds; otherwise a clean half-shifted grid
+    rounds; otherwise the two grids decide it in closed form
+    (_two_grid_count).  Returns the plain grid (the shifted one if the
+    plain one hit the spectrum) carrying the decided count, and whether
+    the count stays undecided: two or more exponents near the level, or
+    a collision that left only one grid that is not clean.  Raises
+    SpectrumCollisionError when both grids hit the spectrum.
+    """
     try:
-        s = _balanced_traces(ws, energy, xi, n_phi, False)
-        plain = (complex(s.mean()), float(np.max(np.abs(s))))
-        if plain[1] <= threshold:
-            return plain
-    except SpectrumCollisionError as exc:
-        plain_exc = exc
-    try:
-        s = _balanced_traces(ws, energy, xi, n_phi, True)
-        shifted = (complex(s.mean()), float(np.max(np.abs(s))))
+        plain = _level(ws, energy, xi, n_phi, False)
+        if plain.dev <= ISOLATION_DEV:
+            return plain, False
     except SpectrumCollisionError:
-        if plain is not None:
-            return plain
-        raise plain_exc
-    if plain is None or shifted[1] < plain[1]:
-        return shifted
-    return plain
-
-
-def _adaptive_raw(ws: RingBandWorkspace, energy: complex, xi: float,
-                  quad: QuadratureSpec):
-    """Escalating quadrature; returns (raw, residual, max_abs, n_phi)."""
-    m = ws.m
-    n_phi = quad.n_phi
-    prev_residual = None
-    best = None
-    while True:
-        mean, max_abs = _sample_with_retry(ws, energy, xi, n_phi)
-        raw = 0.5 + mean / (2.0 * m)
-        residual = _quantization_residual(raw.real, m)
-        if best is None or residual < best[1]:
-            best = (raw, residual, max_abs, n_phi)
-        if n_phi >= quad.max_n_phi or residual <= ESCALATE_RESIDUAL:
-            break
-        if prev_residual is not None and residual > prev_residual / FUTILITY_FACTOR:
-            break
-        prev_residual = residual
-        n_phi = min(n_phi * 4, quad.max_n_phi)
-    return best
+        plain = None
+    shifted = _level(ws, energy, xi, n_phi, True)
+    if plain is None:
+        return shifted, shifted.dev > ISOLATION_DEV
+    if shifted.dev <= ISOLATION_DEV:
+        count = shifted.count
+    else:
+        count = _two_grid_count(plain.total, shifted.total, 2 * ws.m)
+        if count is None:
+            return plain, True
+    return replace(plain, count=count, dev=abs(plain.total - count)), False
 
 
 def counting_integrand(sys: BlockTridiagonalSystem, energy: complex, xi: float,
@@ -212,19 +226,20 @@ def counting_function(sys: BlockTridiagonalSystem, energy: complex, xi: float,
 
     raw = 1/2 + (1/2m) * (grid average of counting_integrand); the 1/2
     absorbs the constant term of the logarithmic derivative, which is
-    never quadratured.  count = round(2m * raw.re).  near_eigenvalue is
-    set when the kept residual stays above ESCALATE_RESIDUAL or a sample
-    was implausibly large: the count may then be off by one.
+    never quadratured.  The count is decided by the rule of _decide on
+    quad.n_phi angles, one grid on a clean level and two next to an
+    exponent.  near_eigenvalue is set when the rule cannot decide it:
+    the count is then round(2m * raw.re) and may be off.
     """
     if abs(xi) > OVERFLOW_GUARD:
         raise ScaleOverflowError(f"|xi| = {abs(xi):.3g} exceeds the overflow guard")
-    if quad is None:
-        quad = QuadratureSpec()
+    n_phi = (quad or QuadratureSpec()).n_phi
     ws = workspace if workspace is not None else RingBandWorkspace(sys)
-    raw, residual, max_abs, n_used = _adaptive_raw(ws, energy, xi, quad)
-    near = residual > ESCALATE_RESIDUAL or max_abs > _magnitude_threshold(sys.m, n_used)
-    return CountingSample(xi=xi, raw=raw, count=_round_count(raw.real, sys.m),
-                          n_phi=n_used, residual=residual, near_eigenvalue=near)
+    kept, near = _decide(ws, energy, xi, n_phi)
+    raw = 0.5 + complex(kept.traces.mean()) / (2.0 * sys.m)
+    t = 2.0 * sys.m * raw.real
+    return CountingSample(xi=xi, raw=raw, count=kept.count, n_phi=n_phi,
+                          residual=abs(t - math.floor(t + 0.5)), near_eigenvalue=near)
 
 
 def counting_integrand_corner(sys: BlockTridiagonalSystem, energy: complex,
@@ -290,11 +305,6 @@ def counting_sweep(sys: BlockTridiagonalSystem, energy: complex, xi_grid,
 # exponent location: count isolation, then closed-form or moment inversion
 # ---------------------------------------------------------------------------
 
-#: a locator level isolates when m + (grid mean) lies this close to its
-#: integer count: every exponent is then about log(1/ISOLATION_DEV)/(nP)
-#: away and pulls the grid mean by less than ISOLATION_DEV
-ISOLATION_DEV = 1e-10
-
 #: a closed-form estimate is used while the sample lies within
 #: _CAPTURE/(nP) of the exponent; farther out f rounds to 0 or 1 and
 #: only the side of the exponent is known
@@ -325,36 +335,6 @@ def _default_bracket(sys: BlockTridiagonalSystem, energy: complex):
         his.append(math.log(np.linalg.norm(t, np.inf)))
         los.append(math.log(np.linalg.norm(np.linalg.inv(t), np.inf)))
     return -(max(los) + 0.1), max(his) + 0.1
-
-
-@dataclass(frozen=True)
-class _Level:
-    """One locator sample: the per-angle traces at level xi.
-
-    total = m + (grid mean) equals sum_a 1/(1 - (lambda_a/w_0)^P) for the
-    P-angle grid, w_0^P = e^{nP xi} times the grid phase, so dev, its
-    distance from the integer count, is about the pull
-    e^{-nP|xi - xi_a|} of the nearest exponent.
-    """
-
-    xi: float
-    traces: np.ndarray
-    shift: bool
-    total: complex
-    count: int
-    dev: float
-
-    def moments(self, n: int, xi_c: float, kmax: int) -> np.ndarray:
-        """Grid means of (w/c)^k times the traces, k = 0..kmax, c = e^{n xi_c}.
-
-        For k < P they equal sum_a (lambda_a/c)^k / (1 - (lambda_a/w_0)^P):
-        the power sums over the exponents below xi, up to the same pull.
-        """
-        p = self.traces.size
-        theta = (2.0 * math.pi / p) * (np.arange(p) + (0.5 if self.shift else 0.0))
-        ratio = np.exp(n * (self.xi - xi_c) + 1j * theta)
-        powers = np.cumprod(np.vstack([np.ones(p), np.tile(ratio, (kmax, 1))]), axis=0)
-        return powers @ self.traces / p
 
 
 def _find_split(level, a: _Level, b: _Level, q: int, n_p: int):
@@ -511,30 +491,25 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     distinct ones of equal modulus (complex-conjugate eigenvalues) come
     out of the same cluster rule.
 
-    reliable is False unless the bracket counts were clean (residual
-    below NEAR_RESIDUAL; every other isolating level is cleaner by
-    construction), every value lies inside its isolating interval, and
-    every inversion was consistent: the last two closed-form estimates
-    within tol, or a cluster's roots reproducing its unused power sum
-    with an error bound within tol.
+    reliable is False unless both bracket counts were decided without a
+    flag by the counting rule of _decide (every other isolating level is
+    clean by construction), every value lies inside its isolating
+    interval, and every inversion was consistent: the last two
+    closed-form estimates within tol, or a cluster's roots reproducing
+    its unused power sum with an error bound within tol.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    n, m = sys.n, sys.m
-    two_m = 2 * m
+    n, two_m = sys.n, 2 * sys.m
     n_phi = int(np.clip(1024 // n, 16, 256))
     n_p = n * n_phi
     ws = RingBandWorkspace(sys)
 
     def level(xi: float) -> _Level:
         try:
-            traces, shift = _balanced_traces(ws, energy, xi, n_phi, False), False
+            return _level(ws, energy, xi, n_phi, False)
         except SpectrumCollisionError:
-            traces, shift = _balanced_traces(ws, energy, xi, n_phi, True), True
-        total = m + complex(traces.mean())
-        count = min(max(int(math.floor(total.real + 0.5)), 0), two_m)
-        return _Level(xi=xi, traces=traces, shift=shift, total=total,
-                      count=count, dev=abs(total - count))
+            return _level(ws, energy, xi, n_phi, True)
 
     explicit = bracket is not None
     if explicit:
@@ -544,7 +519,7 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     else:
         lo, hi = _default_bracket(sys, energy)
     for _ in range(_MAX_BRACKET_GROWTH):
-        low = level(lo)
+        low, low_near = _decide(ws, energy, lo, n_phi)
         if low.count == 0:
             break
         if explicit:
@@ -553,7 +528,7 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     else:
         raise NumericalError("could not establish a lower bracket with count 0")
     for _ in range(_MAX_BRACKET_GROWTH):
-        high = level(hi)
+        high, high_near = _decide(ws, energy, hi, n_phi)
         if high.count == two_m:
             break
         if explicit:
@@ -562,7 +537,7 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     else:
         raise NumericalError("could not establish an upper bracket with count 2m")
 
-    reliable = low.dev < NEAR_RESIDUAL and high.dev < NEAR_RESIDUAL
+    reliable = not (low_near or high_near)
     values: list[float] = []
     stack = [(low, high)]
     while stack:
@@ -666,7 +641,7 @@ def imaginary_part_check(sys: BlockTridiagonalSystem, energy: complex,
                          xi: float) -> float:
     """|64-angle grid average of Im(counting integrand)|; vanishes when valid.
 
-    Individual samples need not be real; only the average is.
+    Individual samples need not be real; only the average is.  The
+    average is 2m * Im(raw) of counting_function at its default grid.
     """
-    mean, _ = _sample_with_retry(RingBandWorkspace(sys), energy, xi, 64)
-    return abs(mean.imag)
+    return 2 * sys.m * abs(counting_function(sys, energy, xi).raw.imag)

@@ -211,7 +211,8 @@ def load_system(path) -> BlockTridiagonalSystem:
     """Read a system file, validating schema and contents.
 
     Raises ValidationError with a description of every problem found,
-    including the offending block indices.
+    including the offending block indices; the blocks are checked only
+    once "m" and "n" are valid.
     """
     try:
         with open(path) as fh:
@@ -225,10 +226,11 @@ def load_system(path) -> BlockTridiagonalSystem:
     n = doc.get("n")
     if not isinstance(m, int) or isinstance(m, bool) or m < 1:
         issues.append('"m" must be a positive integer')
-        m = 1
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         issues.append('"n" must be a positive integer')
-        n = 1
+    if issues:
+        # the blocks cannot be checked against a size that is not known
+        raise ValidationError(f"{path}: " + "; ".join(issues))
     blocks = {}
     for name in ("A", "B", "C"):
         seq = doc.get(name)

@@ -63,10 +63,10 @@ def sweep_points(family):
     """Criterion-3 sample set, reused by criterion 5.
 
     Ten levels per system, kept at distance > 0.05 from every exponent,
-    evaluated at a fixed 256-point grid without escalation.
+    evaluated at a fixed 256-point grid.
     """
     rng = np.random.default_rng(FAMILY_SEED + 3)
-    quad = QuadratureSpec(n_phi=256, max_n_phi=256)
+    quad = QuadratureSpec(n_phi=256)
     rows = []
     for system, energy in family:
         exps = stable_exponents(system, energy)

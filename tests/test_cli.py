@@ -95,6 +95,33 @@ def test_count_corner_method_rejected(scalar_file):
     assert exc.value.code == EXIT_USAGE
 
 
+def test_count_nphi_is_the_grid_size(tmp_path, capsys):
+    bar = tmp_path / "bar.json"
+    assert run_cli("gen-anderson", "--wx", "2", "--wy", "1", "--length", "4",
+                   "--disorder", "2.0", "--seed", "5", "-o", str(bar)) == EXIT_OK
+    out = tmp_path / "c.csv"
+    rc = run_cli("count", "--system", str(bar), "--xi-min", "0.3", "--xi-max", "0.3",
+                 "--xi-steps", "1", "--nphi", "2048", "-o", str(out))
+    assert rc == EXIT_OK
+    assert [r[4] for r in read_csv(out)] == ["n_phi", "2048"]
+    rc = run_cli("count", "--system", str(bar), "--xi-steps", "1", "--nphi", "3")
+    assert rc == EXIT_VALIDATION
+    assert "n_phi must be at least 4" in capsys.readouterr().err
+
+
+def test_bad_m_is_reported_once(tmp_path, capsys):
+    path = tmp_path / "bad_m.json"
+    assert run_cli("gen-anderson", "--wx", "4", "--wy", "4", "--length", "8",
+                   "--disorder", "2.0", "--seed", "5", "-o", str(path)) == EXIT_OK
+    doc = json.loads(path.read_text())
+    doc["m"] = True
+    path.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("count", "--system", str(path), "--xi-steps", "1") == EXIT_VALIDATION
+    err = capsys.readouterr().err
+    assert err.strip() == f'error: {path}: "m" must be a positive integer'
+
+
 def test_count_complex_energy_accepted(tmp_path, bar_file):
     out = tmp_path / "c.csv"
     rc = run_cli("count", "--system", str(bar_file), "--energy", "0.5,0.25",

@@ -39,8 +39,6 @@ POS_SUM_21_E4 = 1.2646114435458089
 def test_quadrature_spec_validation():
     with pytest.raises(ValueError):
         QuadratureSpec(n_phi=2)
-    with pytest.raises(ValueError):
-        QuadratureSpec(n_phi=64, max_n_phi=32)
 
 
 def test_integrand_periodicity():
@@ -102,20 +100,64 @@ def test_count_matches_direct_oracle_property(seed):
 
 
 def test_near_eigenvalue_flag():
-    sys = scalar_chain(6)
-    sample = counting_function(sys, 3.0, ARCCOSH_15 + 1e-9)
+    # one exponent 1e-9 below the level: a plain grid angle lands next
+    # to its eigenvalue, and the half-shifted grid decides the count
+    sample = counting_function(scalar_chain(6), 3.0, ARCCOSH_15 + 1e-9)
+    assert sample.count == 2
+    assert not sample.near_eigenvalue
+    # an exact doublet 1e-9 above the level fits no single exponent
+    cfg = AndersonConfig(wx=2, wy=2, length=40, disorder=0.0, seed=1, energy=5.0)
+    sample = counting_function(generate(cfg), 5.0, ARCCOSH_25 - 1e-9)
     assert sample.near_eigenvalue
-    assert 0 <= sample.count <= 2
+    assert 0 <= sample.count <= 8
 
 
 def test_count_next_to_doublet_right_or_flagged():
     # a complex-conjugate pair 4.6e-4 from each level: the 64-angle grid
-    # rounds one off with residual 0.16, and finer grids do no better
-    # until 1024 angles, so escalation stops on the futility rule
+    # rounds one off with residual 0.16, and with the half-shifted grid
+    # the two pulls fit no single near exponent
     sys = generate(AndersonConfig(wx=4, wy=4, length=8, disorder=18.0, seed=1100))
     for xi in (-1.6, 1.6):
         sample = counting_function(sys, 0.5, xi)
         assert sample.count == direct_count(sys, 0.5, xi) or sample.near_eigenvalue
+
+
+@pytest.mark.parametrize("wy, energy, centres, offsets", [
+    (2, 5.0, (-ARCCOSH_25, ARCCOSH_25), (1e-8, -1e-8, 1e-9, -1e-9)),
+    (1, 2.0, (0.0,), (1e-8, -1e-8)),
+])
+def test_count_next_to_clean_multiplet_right_or_flagged(wy, energy, centres, offsets):
+    # exact doublets of clean n=40 bars: each of the two pulls is close
+    # to 1/2, so the grid total rounds cleanly to the count in between
+    cfg = AndersonConfig(wx=2, wy=wy, length=40, disorder=0.0, seed=1, energy=energy)
+    sys = generate(cfg)
+    oracle = np.asarray(clean_limit_exponents(cfg).values)
+    for xi in (c + d for c in centres for d in offsets):
+        sample = counting_function(sys, energy, xi)
+        assert sample.count == int(np.sum(oracle < xi)) or sample.near_eigenvalue
+
+
+def test_count_next_to_single_exponents_from_two_grids(monkeypatch):
+    sys = generate(AndersonConfig(wx=2, wy=2, length=40, disorder=18.0, seed=20100))
+    located = locate_exponents(sys, 0.5, tol=1e-10)
+    assert located.reliable and len(located.values) == 8
+    calls = []
+    factor = RingBandWorkspace.factor
+
+    def counted(self, *args, **kwargs):
+        calls.append(1)
+        return factor(self, *args, **kwargs)
+
+    monkeypatch.setattr(RingBandWorkspace, "factor", counted)
+    ws = RingBandWorkspace(sys)
+    quad = QuadratureSpec()
+    for below, x in enumerate(located.values):
+        for d in (1e-4, 1e-7, 1e-10):
+            for xi, expect in ((x - d, below), (x + d, below + 1)):
+                calls.clear()
+                sample = counting_function(sys, 0.5, xi, quad, workspace=ws)
+                assert (sample.count, sample.near_eigenvalue) == (expect, False)
+                assert len(calls) <= 2 * quad.n_phi
 
 
 def test_overflow_guard_on_level():
