@@ -105,9 +105,10 @@ def cmd_exponents(args) -> int:
         if not xs.reliable:
             label = "bisect_unreliable"
             status = EXIT_NUMERICAL
-            print("warning: located exponents unreliable (an isolating count "
-                  "was not clean, a value left its interval, or an inversion "
-                  "did not settle within --tol)", file=_sys.stderr)
+            print("warning: located exponents unreliable (a slice's estimates "
+                  "did not reproduce the counts of its neighbouring levels, or "
+                  "the two estimates of an exponent differ by more than --tol)",
+                  file=_sys.stderr)
     fh, close = _open_out(args.output)
     try:
         writer = csv.writer(fh)

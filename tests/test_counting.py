@@ -101,43 +101,43 @@ def test_count_matches_direct_oracle_property(seed):
 
 def test_near_eigenvalue_flag():
     # one exponent 1e-9 below the level: a plain grid angle lands next
-    # to its eigenvalue, and the half-shifted grid decides the count
+    # to its eigenvalue, and the pencil decides the count
     sample = counting_function(scalar_chain(6), 3.0, ARCCOSH_15 + 1e-9)
     assert sample.count == 2
     assert not sample.near_eigenvalue
-    # an exact doublet 1e-9 above the level fits no single exponent
+    # an exact doublet 1e-13 above the level, n|xi_a - xi| = 4e-12: the
+    # level lies within rounding of it
     cfg = AndersonConfig(wx=2, wy=2, length=40, disorder=0.0, seed=1, energy=5.0)
-    sample = counting_function(generate(cfg), 5.0, ARCCOSH_25 - 1e-9)
+    sample = counting_function(generate(cfg), 5.0, ARCCOSH_25 - 1e-13)
     assert sample.near_eigenvalue
     assert 0 <= sample.count <= 8
 
 
-def test_count_next_to_doublet_right_or_flagged():
-    # a complex-conjugate pair 4.6e-4 from each level: the 64-angle grid
-    # rounds one off with residual 0.16, and with the half-shifted grid
-    # the two pulls fit no single near exponent
+def test_count_next_to_doublet_right():
+    # a complex-conjugate pair 4.6e-4 from each of the levels -1.6 and
+    # 1.6: the 64-angle grid rounds one off with residual 0.16
     sys = generate(AndersonConfig(wx=4, wy=4, length=8, disorder=18.0, seed=1100))
-    for xi in (-1.6, 1.6):
+    for xi in (c + d for c in (-1.6, 1.6) for d in (0.0, 1e-3, -1e-3)):
         sample = counting_function(sys, 0.5, xi)
-        assert sample.count == direct_count(sys, 0.5, xi) or sample.near_eigenvalue
+        assert (sample.count, sample.near_eigenvalue) == (direct_count(sys, 0.5, xi), False)
 
 
 @pytest.mark.parametrize("wy, energy, centres, offsets", [
-    (2, 5.0, (-ARCCOSH_25, ARCCOSH_25), (1e-8, -1e-8, 1e-9, -1e-9)),
-    (1, 2.0, (0.0,), (1e-8, -1e-8)),
+    (2, 5.0, (-ARCCOSH_25, ARCCOSH_25), (1e-3, -1e-3, 1e-8, -1e-8, 1e-9, -1e-9)),
+    (1, 2.0, (0.0,), (1e-3, -1e-3, 1e-8, -1e-8)),
 ])
-def test_count_next_to_clean_multiplet_right_or_flagged(wy, energy, centres, offsets):
-    # exact doublets of clean n=40 bars: each of the two pulls is close
-    # to 1/2, so the grid total rounds cleanly to the count in between
+def test_count_next_to_clean_multiplet_right(wy, energy, centres, offsets):
+    # exact doublets of clean n=40 bars, from complex-conjugate
+    # eigenvalue pairs of one modulus
     cfg = AndersonConfig(wx=2, wy=wy, length=40, disorder=0.0, seed=1, energy=energy)
     sys = generate(cfg)
     oracle = np.asarray(clean_limit_exponents(cfg).values)
     for xi in (c + d for c in centres for d in offsets):
         sample = counting_function(sys, energy, xi)
-        assert sample.count == int(np.sum(oracle < xi)) or sample.near_eigenvalue
+        assert (sample.count, sample.near_eigenvalue) == (int(np.sum(oracle < xi)), False)
 
 
-def test_count_next_to_single_exponents_from_two_grids(monkeypatch):
+def test_count_next_to_single_exponents_from_pencil(monkeypatch):
     sys = generate(AndersonConfig(wx=2, wy=2, length=40, disorder=18.0, seed=20100))
     located = locate_exponents(sys, 0.5, tol=1e-10)
     assert located.reliable and len(located.values) == 8
@@ -157,7 +157,7 @@ def test_count_next_to_single_exponents_from_two_grids(monkeypatch):
                 calls.clear()
                 sample = counting_function(sys, 0.5, xi, quad, workspace=ws)
                 assert (sample.count, sample.near_eigenvalue) == (expect, False)
-                assert len(calls) <= 2 * quad.n_phi
+                assert len(calls) <= quad.n_phi + 1
 
 
 def test_overflow_guard_on_level():
@@ -251,7 +251,7 @@ def test_locate_rejects_invalid_bracket():
         locate_exponents(sys, 3.0, bracket=(2.0, -2.0))
 
 
-@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6])
+@pytest.mark.parametrize("tol", [math.nan, math.inf, 0.0, -1e-6, 1e-17])
 def test_locate_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         locate_exponents(scalar_chain(6), 3.0, tol=tol)
@@ -259,7 +259,7 @@ def test_locate_rejects_bad_tolerance(tol):
 
 def test_locate_resolves_degenerate_multiplet():
     # clean square bar: transverse modes {2, 0, 0, -2} at energy 5 give
-    # a doubly degenerate decay rate; bisection must report it twice
+    # a doubly degenerate decay rate; the locator must report it twice
     cfg = AndersonConfig(wx=2, wy=2, length=12, disorder=0.0, seed=1,
                          energy=5.0)
     sys = generate(cfg)
@@ -320,7 +320,17 @@ def test_locate_factorization_budget(monkeypatch):
     sys = generate(AndersonConfig(wx=2, wy=2, length=40, disorder=18.0, seed=1))
     exps = locate_exponents(sys, 0.5)
     assert exps.reliable and len(exps.values) == 8
-    assert len(calls) <= 300 * 8
+    assert len(calls) <= 40
+
+
+def test_locate_clean_doublets_to_tight_tolerance():
+    # two exact doublets of the clean n=40 bar, each from a
+    # complex-conjugate eigenvalue pair of one modulus
+    cfg = AndersonConfig(wx=2, wy=2, length=40, disorder=0.0, seed=1, energy=5.0)
+    oracle = np.asarray(clean_limit_exponents(cfg).values)
+    got = locate_exponents(generate(cfg), 5.0, tol=1e-10)
+    assert got.reliable
+    assert np.max(np.abs(np.asarray(got.values) - oracle)) < 1e-10
 
 
 def test_jensen_frozen_scalar_value():
