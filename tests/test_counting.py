@@ -113,7 +113,7 @@ def test_near_eigenvalue_flag():
     assert 0 <= sample.count <= 8
 
 
-def test_count_next_to_doublet_right():
+def test_count_next_to_doublet_right_or_flagged():
     # a complex-conjugate pair 4.6e-4 from each of the levels -1.6 and
     # 1.6: the 64-angle grid rounds one off with residual 0.16
     sys = generate(AndersonConfig(wx=4, wy=4, length=8, disorder=18.0, seed=1100))
@@ -126,7 +126,7 @@ def test_count_next_to_doublet_right():
     (2, 5.0, (-ARCCOSH_25, ARCCOSH_25), (1e-3, -1e-3, 1e-8, -1e-8, 1e-9, -1e-9)),
     (1, 2.0, (0.0,), (1e-3, -1e-3, 1e-8, -1e-8)),
 ])
-def test_count_next_to_clean_multiplet_right(wy, energy, centres, offsets):
+def test_count_next_to_clean_multiplet_right_or_flagged(wy, energy, centres, offsets):
     # exact doublets of clean n=40 bars, from complex-conjugate
     # eigenvalue pairs of one modulus
     cfg = AndersonConfig(wx=2, wy=wy, length=40, disorder=0.0, seed=1, energy=energy)
