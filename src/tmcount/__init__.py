@@ -15,7 +15,7 @@ from .counting import (CountingSample, QuadratureSpec, counting_function,
                        counting_sweep, imaginary_part_check, jensen_relation,
                        locate_exponents, positive_exponent_sum,
                        total_exponent_sum)
-from .hamiltonian import (CornerBlocks, RingBandWorkspace, ScaleOverflowError,
+from .hamiltonian import (RingBandWorkspace, ScaleOverflowError,
                           SpectrumCollisionError, build_hamiltonian,
                           det_shifted, duality_residual,
                           resolvent_corners_open, similarity_transform_check)
@@ -30,7 +30,6 @@ from .transfer import (ExponentSet, NumericalError, TransferMatrix,
 __all__ = [
     "AndersonConfig",
     "BlockTridiagonalSystem",
-    "CornerBlocks",
     "CountingSample",
     "ExponentSet",
     "NumericalError",

@@ -41,11 +41,11 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.linalg
 
-from .hamiltonian import (OVERFLOW_GUARD, RingBandWorkspace, ScaleOverflowError,
-                          SpectrumCollisionError, resolvent_corners_open)
+from .hamiltonian import (OVERFLOW_GUARD, BandFactor, RingBandWorkspace,
+                          ScaleOverflowError, SpectrumCollisionError,
+                          resolvent_corners_open)
 from .operators import BlockTridiagonalSystem
-from .transfer import (ExponentSet, NumericalError, one_step_transfer,
-                       stable_exponents)
+from .transfer import ExponentSet, NumericalError, one_step_transfer
 
 _MAX_BRACKET_GROWTH = 64
 
@@ -90,31 +90,36 @@ class CountingSample:
     error: str | None = None
 
 
-def _trace_at(ws: RingBandWorkspace, energy: complex, xi: float, phi: float,
-              context: str) -> complex:
-    """The counting integrand at one angle, from one banded factorization.
-
-    tr[z G_1n B_n - (1/z) G_n1 C_1] with z = e^{xi + i phi} and G the
-    balanced ring resolvent at energy.
-    """
-    sys = ws.sys
-    z = cmath.exp(complex(xi, phi))
-    f = ws.factor(energy, "balanced", z)
-    f.require_nonsingular(f"{context} at xi={xi:.6g}, phi={phi:.6g}")
+def _corner_trace(f: BandFactor, z: complex) -> complex:
+    """tr[z G_1n B_n - (1/z) G_n1 C_1], G the inverse factored in f at z."""
+    sys = f.workspace.sys
     b11, b1n, bn1, bnn = f.corner_solve()
     return complex(z * np.trace(b1n @ sys.B[sys.n - 1])
                    - np.trace(bn1 @ sys.C[0]) / z)
 
 
 def _grid_mean(ws: RingBandWorkspace, energy: complex, xi: float, n_phi: int,
-               shift: bool) -> complex:
-    """Mean of the n_phi-angle grid at level xi, plain or shifted by half a step."""
+               value) -> complex:
+    """Mean of value(f, z) over the n_phi-angle grid z = e^{xi + i phi}.
+
+    f is the balanced ring factored at z.  The plain grid is evaluated
+    first; where it hits the spectrum, the grid shifted by half a step.
+    Raises SpectrumCollisionError when both hit.
+    """
     step = 2.0 * math.pi / (ws.n * n_phi)
-    traces = np.empty(n_phi, dtype=complex)
-    for j in range(n_phi):
-        phi = (j + (0.5 if shift else 0.0)) * step
-        traces[j] = _trace_at(ws, energy, xi, phi, "counting contour")
-    return complex(traces.mean())
+    for shift in (0.0, 0.5):
+        values = np.empty(n_phi, dtype=complex)
+        try:
+            for j in range(n_phi):
+                z = cmath.exp(complex(xi, (j + shift) * step))
+                f = ws.factor(energy, z)
+                f.require_nonsingular(f"contour at xi={xi:.6g}, z={z:.6g}")
+                values[j] = value(f, z)
+        except SpectrumCollisionError:
+            continue
+        return complex(values.mean())
+    raise SpectrumCollisionError(
+        f"contour at xi={xi:.6g} touches the spectrum on both grids")
 
 
 def _pencil(ws: RingBandWorkspace, energy: complex, xi: float,
@@ -132,7 +137,7 @@ def _pencil(ws: RingBandWorkspace, energy: complex, xi: float,
     """
     sys, m = ws.sys, ws.m
     z0 = cmath.exp(complex(xi, 0.5 * math.pi / (ws.n * n_phi)))
-    f = ws.factor(energy, "balanced", z0)
+    f = ws.factor(energy, z0)
     f.require_nonsingular(f"exponent pencil at xi={xi:.6g}")
     g11, g1n, gn1, gnn = f.corner_solve()
     ca = (sys.C[0] / z0) @ np.hstack([gn1, gnn])
@@ -147,22 +152,18 @@ def _decide(ws: RingBandWorkspace, energy: complex, xi: float,
             n_phi: int) -> tuple[complex, int, bool]:
     """The count at level xi by the one rule of this module.
 
-    Returns the mean of the plain grid (of the half-shifted one where
-    the plain grid hit the spectrum), the count, and whether it is
-    flagged.  A clean plain grid rounds; otherwise the count is
-    #{|t_a| < 1} of the pencil at xi, flagged when an exponent lies
-    within rounding of the level, some |log|t_a|| <= ISOLATION_DEV.
-    Raises SpectrumCollisionError when the shifted grid or the pencil
-    hits the spectrum too.
+    Returns the grid mean of _grid_mean, the count, and whether it is
+    flagged.  A clean grid rounds; otherwise the count is #{|t_a| < 1}
+    of the pencil at xi, flagged when an exponent lies within rounding
+    of the level, some |log|t_a|| <= ISOLATION_DEV.  A grid that hits
+    the spectrum is never clean: an exponent lies at the level.  Raises
+    SpectrumCollisionError when both grids or the pencil hit the spectrum.
     """
-    try:
-        mean = _grid_mean(ws, energy, xi, n_phi, False)
-        total = ws.m + mean
-        count = min(max(int(math.floor(total.real + 0.5)), 0), 2 * ws.m)
-        if abs(total - count) <= ISOLATION_DEV:
-            return mean, count, False
-    except SpectrumCollisionError:
-        mean = _grid_mean(ws, energy, xi, n_phi, True)
+    mean = _grid_mean(ws, energy, xi, n_phi, _corner_trace)
+    total = ws.m + mean
+    count = min(max(int(math.floor(total.real + 0.5)), 0), 2 * ws.m)
+    if abs(total - count) <= ISOLATION_DEV:
+        return mean, count, False
     t = np.abs(_pencil(ws, energy, xi, n_phi))
     with np.errstate(divide="ignore"):
         near = not np.all(np.abs(np.log(t)) > ISOLATION_DEV)
@@ -176,7 +177,10 @@ def counting_integrand(sys: BlockTridiagonalSystem, energy: complex, xi: float,
     Value of tr[z G_1n B_n - (1/z) G_n1 C_1] with z = e^{xi + i phi} and
     G the balanced ring resolvent at energy.
     """
-    return _trace_at(RingBandWorkspace(sys), energy, xi, phi, "counting integrand")
+    z = cmath.exp(complex(xi, phi))
+    f = RingBandWorkspace(sys).factor(energy, z)
+    f.require_nonsingular(f"counting integrand at xi={xi:.6g}, phi={phi:.6g}")
+    return _corner_trace(f, z)
 
 
 def counting_function(sys: BlockTridiagonalSystem, energy: complex, xi: float,
@@ -207,8 +211,9 @@ def counting_integrand_corner(sys: BlockTridiagonalSystem, energy: complex,
                               xi: float, phi: float, g=None) -> complex:
     """The paper's corner-block value of the counting integrand at one angle.
 
-    Uses the z-independent open-chain corner blocks g and two m x m
-    Schur complements.  z^n appears explicitly, so the overflow guard
+    Uses the z-independent open-chain corner blocks g, the tuple
+    (b11, b1n, bn1, bnn) of resolvent_corners_open, and two m x m Schur
+    complements.  z^n appears explicitly, so the overflow guard
     on n*|xi| applies, and well inside it the inner matrices must still
     resolve e^{n|xi - xi_a|}: this is a cross-check of
     counting_integrand, not a counting path.
@@ -219,9 +224,10 @@ def counting_integrand_corner(sys: BlockTridiagonalSystem, energy: complex,
             "use the balanced path")
     if g is None:
         g = resolvent_corners_open(sys, energy)
+    g11, g1n, gn1, gnn = g
     big_z = cmath.exp(complex(sys.n * xi, sys.n * phi))
-    bg1n, bg11 = sys.B[sys.n - 1] @ g.b_1n, sys.B[sys.n - 1] @ g.b_11
-    cgnn, cgn1 = sys.C[0] @ g.b_nn, sys.C[0] @ g.b_n1
+    bg1n, bg11 = sys.B[sys.n - 1] @ g1n, sys.B[sys.n - 1] @ g11
+    cgnn, cgn1 = sys.C[0] @ gnn, sys.C[0] @ gn1
     eye = np.eye(sys.m)
     upper = big_z * bg1n + eye
     lower = cgn1 / big_z + eye
@@ -365,39 +371,19 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
 # sum rules
 # ---------------------------------------------------------------------------
 
-def _log_abs_det_b(sys: BlockTridiagonalSystem) -> float:
-    total = 0.0
-    for b in sys.B:
-        sign, lad = np.linalg.slogdet(b)
-        total += float(lad)
-    return total
+def _jensen_rhs(sys: BlockTridiagonalSystem, energy: complex, xi: float) -> float:
+    """The quadrature side of the sum rule at level xi.
 
-
-def _ring_logdet_average(sys: BlockTridiagonalSystem, energy: complex,
-                         xi: float) -> float:
-    """Full-circle average of log|det[ring(e^{n xi + i phi}) - energy]|.
-
-    Evaluated on 512 angles through the balanced variant at radius e^xi,
-    whose determinant is identical and whose entries stay at scale e^|xi|.
+    (1/mn) times the full-circle average of
+    log|det[ring(e^{n xi + i phi}) - energy]| less log|det B_1 ... B_n|.
+    The average runs over the 512-angle grid of _grid_mean through the
+    balanced ring at radius e^xi, whose determinant is identical and
+    whose entries stay at scale e^|xi|.
     """
-    ws = RingBandWorkspace(sys)
-    n = sys.n
-    n_phi = 512
-    for shift in (False, True):
-        vals = np.empty(n_phi)
-        ok = True
-        for j in range(n_phi):
-            phi = (j + (0.5 if shift else 0.0)) * 2.0 * math.pi / n_phi
-            w = cmath.exp(complex(xi, phi / n))
-            lad = ws.factor(energy, "balanced", w).logabsdet()
-            if not math.isfinite(lad):
-                ok = False
-                break
-            vals[j] = lad
-        if ok:
-            return float(vals.mean())
-    raise SpectrumCollisionError(
-        f"determinant contour at xi={xi:.6g} touches the spectrum on both grids")
+    average = _grid_mean(RingBandWorkspace(sys), energy, xi, 512,
+                         lambda f, z: f.logabsdet()).real
+    log_det_b = sum(float(np.linalg.slogdet(b)[1]) for b in sys.B)
+    return (average - log_det_b) / (sys.m * sys.n)
 
 
 def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
@@ -405,20 +391,13 @@ def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
     """Both sides of the log-determinant sum rule at level xi.
 
     lhs = (1/2m) sum_a (|xi_a - xi| + xi_a + xi) - xi from the exponents
-    (the given ones, else the direct oracle where reliable and the
-    locator otherwise); rhs from the full-circle quadrature of log|det|
-    minus the coupling normalization.  Returns (lhs, rhs).
+    (the given ones, else those of locate_exponents); rhs from the
+    full-circle quadrature of log|det| minus the coupling normalization.
+    Returns (lhs, rhs).
     """
-    xs = exponents
-    if xs is None:
-        xs = stable_exponents(sys, energy)
-        if not xs.reliable:
-            xs = locate_exponents(sys, energy)
-    m, n = sys.m, sys.n
-    lhs = sum(abs(x - xi) + x + xi for x in xs.values) / (2.0 * m) - xi
-    rhs = (_ring_logdet_average(sys, energy, xi) / (m * n)
-           - _log_abs_det_b(sys) / (m * n))
-    return lhs, rhs
+    xs = exponents if exponents is not None else locate_exponents(sys, energy)
+    lhs = sum(abs(x - xi) + x + xi for x in xs.values) / (2.0 * sys.m) - xi
+    return lhs, _jensen_rhs(sys, energy, xi)
 
 
 def positive_exponent_sum(sys: BlockTridiagonalSystem, energy: complex) -> float:
@@ -426,9 +405,7 @@ def positive_exponent_sum(sys: BlockTridiagonalSystem, energy: complex) -> float
 
     The unit-radius case of the sum rule; no exponents are computed.
     """
-    m, n = sys.m, sys.n
-    return (_ring_logdet_average(sys, energy, 0.0) / (m * n)
-            - _log_abs_det_b(sys) / (m * n))
+    return _jensen_rhs(sys, energy, 0.0)
 
 
 def total_exponent_sum(sys: BlockTridiagonalSystem) -> float:

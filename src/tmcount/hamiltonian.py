@@ -11,15 +11,17 @@ Three variants of the mn x mn ring matrix are used:
   ``|z|**n``;
 * ``corner_free``: the open chain, corners removed, z-independent.
 
-``build_hamiltonian`` assembles a variant densely, for the identity
+``build_hamiltonian`` assembles every variant densely, for the identity
 checks and tests.  Everything else works on ``RingBandWorkspace``:
 shifted determinants and resolvent corner blocks come from a banded LU
-factorization.  The ring ordering 1, n, 2, n-1, ... folds the corner
-blocks into a band of block width two, so the factorization is
+factorization of two operators only, the balanced ring and the open
+chain.  The plain determinant at z is the balanced one at z**(1/n), by
+the similarity above.  The ring ordering 1, n, 2, n-1, ... folds the
+corner blocks into a band of block width two, so the factorization is
 partial-pivoted LAPACK ``gbtrf`` on a genuinely banded matrix: stable at
 any contour radius and linear-time in n.  The full inverse is never
 formed; corner blocks come from solves against 2m unit columns.  The
-counting path factors the balanced variant; the open-chain corners of
+counting path factors the balanced ring; the open-chain corners of
 ``resolvent_corners_open`` serve only the corner-formula cross-check.
 """
 
@@ -52,16 +54,6 @@ class SpectrumCollisionError(NumericalError):
 
 class ScaleOverflowError(NumericalError):
     """A requested power of z exceeds the floating-point range guard."""
-
-
-@dataclass(frozen=True)
-class CornerBlocks:
-    """The four m x m corner blocks of the open-chain resolvent."""
-
-    b_1n: np.ndarray
-    b_11: np.ndarray
-    b_nn: np.ndarray
-    b_n1: np.ndarray
 
 
 def _check_variant(kind: str, z):
@@ -118,9 +110,12 @@ def _fold_order(n: int) -> np.ndarray:
 class RingBandWorkspace:
     """Reusable banded-LU scaffolding for one system.
 
-    Holds the folded band templates of the diagonal, coupling and corner
-    parts, so factoring at a new (energy, z) is a few vector updates
-    plus one ``gbtrf``.  Not safe for concurrent use from threads.
+    Holds the folded band templates of the diagonal blocks, of the
+    forward couplings B_k (the closure block B_n included), of the
+    backward couplings C_k (C_1 included) and of the open chain, and the
+    row sums of |B_k| and |C_k|, so factoring at a new (energy, z) is a
+    few vector updates plus one ``gbtrf``.  Not safe for concurrent use
+    from threads.
     """
 
     def __init__(self, sys: BlockTridiagonalSystem):
@@ -128,18 +123,13 @@ class RingBandWorkspace:
         self.m, self.n = sys.m, sys.n
         self.N = sys.m * sys.n
         pos = _fold_order(sys.n)
-        self.pos = pos
         m, n = sys.m, sys.n
         kl = min(3 * m - 1, self.N - 1)
         self.kl = self.ku = kl
-        nrows = 2 * self.kl + self.ku + 1
-        shape = (nrows, self.N)
+        shape = (2 * self.kl + self.ku + 1, self.N)
         self.t_diag = np.zeros(shape, dtype=complex, order="F")
-        self.t_eye = np.zeros(shape, dtype=complex, order="F")
-        self.t_sup = np.zeros(shape, dtype=complex, order="F")
-        self.t_sub = np.zeros(shape, dtype=complex, order="F")
-        self.t_corner_b = np.zeros(shape, dtype=complex, order="F")
-        self.t_corner_c = np.zeros(shape, dtype=complex, order="F")
+        self.t_fwd = np.zeros(shape, dtype=complex, order="F")
+        self.t_bwd = np.zeros(shape, dtype=complex, order="F")
         ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         off = self.kl + self.ku
 
@@ -149,12 +139,19 @@ class RingBandWorkspace:
 
         for k in range(n):
             put(self.t_diag, k, k, sys.A[k])
-            put(self.t_eye, k, k, np.eye(m))
-        for k in range(n - 1):
-            put(self.t_sup, k, k + 1, sys.B[k])
-            put(self.t_sub, k + 1, k, sys.C[k + 1])
-        put(self.t_corner_c, 0, n - 1, sys.C[0])
-        put(self.t_corner_b, n - 1, 0, sys.B[n - 1])
+            put(self.t_fwd, k, (k + 1) % n, sys.B[k])
+            put(self.t_bwd, k, (k - 1) % n, sys.C[k])
+        # the open chain is the ring without its closure blocks B_n and C_1
+        self.t_open = self.t_diag + self.t_fwd + self.t_bwd
+        put(self.t_open, n - 1, 0, np.zeros((m, m)))
+        put(self.t_open, 0, n - 1, np.zeros((m, m)))
+        # block row k holds A_k, B_k and C_k, and n >= 3 keeps them in
+        # distinct block columns, so the inf-norm is a sum of row sums
+        self._a = np.array(sys.A)
+        self._row_b = np.abs(np.array(sys.B)).sum(axis=2)
+        self._row_c = np.abs(np.array(sys.C)).sum(axis=2)
+        self._row_open = self._row_b + self._row_c
+        self._row_open[0], self._row_open[-1] = self._row_b[0], self._row_c[-1]
         # unit columns for the two corner block-columns; slots 0 and 1 of
         # the fold are ring blocks 1 and n
         rhs = np.zeros((self.N, 2 * m), dtype=complex, order="F")
@@ -162,41 +159,26 @@ class RingBandWorkspace:
         rhs[m:2 * m, m:] = np.eye(m)
         self._corner_rhs = rhs
 
-    def _weights(self, kind: str, z):
-        if kind == "balanced":
-            return z, 1.0 / z, z, 1.0 / z
-        if kind == "plain":
-            return 1.0, 1.0, z, 1.0 / z
-        return 1.0, 1.0, 0.0, 0.0
-
-    def factor(self, energy: complex, kind: str, z: complex | None = None) -> "BandFactor":
-        """Factor (ring_variant - energy) with partial pivoting."""
-        _check_variant(kind, z)
-        wB, wC, wBc, wCc = self._weights(kind, z)
-        ab = np.empty(self.t_diag.shape, dtype=complex, order="F")
-        np.copyto(ab, self.t_diag)
-        if energy != 0:
-            np.add(ab, (-energy) * self.t_eye, out=ab)
-        np.add(ab, wB * self.t_sup, out=ab)
-        np.add(ab, wC * self.t_sub, out=ab)
-        if wBc != 0.0:
-            np.add(ab, wBc * self.t_corner_b, out=ab)
-        if wCc != 0.0:
-            np.add(ab, wCc * self.t_corner_c, out=ab)
-        inf_norm = self._band_inf_norm(ab)
+    def factor(self, energy: complex, z: complex | None = None) -> "BandFactor":
+        """Factor (balanced ring at z - energy), or (open chain - energy)
+        when z is None, with partial pivoting."""
+        row_a = np.abs(self._a - energy * np.eye(self.m)).sum(axis=2)
+        if z is None:
+            ab = self.t_open.copy(order="F")
+            rows = row_a + self._row_open
+        else:
+            if z == 0:
+                raise ValueError("ring coupling weight 1/z is undefined at z = 0")
+            ab = self.t_fwd * z
+            ab += self.t_bwd * (1.0 / z)
+            ab += self.t_diag
+            rows = row_a + abs(z) * self._row_b + self._row_c / abs(z)
+        ab[self.kl + self.ku] -= energy
         lub, ipiv, info = lapack.zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info < 0:
             raise RuntimeError(f"gbtrf failed with info={info}")
         return BandFactor(workspace=self, lub=lub, ipiv=ipiv,
-                          exact_singular=info > 0, inf_norm=inf_norm)
-
-    def _band_inf_norm(self, ab) -> float:
-        rowsum = np.zeros(self.N)
-        off = self.kl + self.ku
-        for d in range(-self.ku, self.kl + 1):
-            diag = np.abs(ab[off + d, max(0, -d):min(self.N, self.N - d)])
-            rowsum[max(0, d):max(0, d) + diag.size] += diag
-        return float(rowsum.max())
+                          exact_singular=info > 0, inf_norm=float(rows.max()))
 
 
 @dataclass
@@ -244,7 +226,7 @@ class BandFactor:
         return float(np.sum(np.log(mods)))
 
     def det_scaled(self) -> ScaledComplex:
-        """det of the factored (variant - energy) matrix, log-scaled.
+        """det of the factored (operator - energy) matrix, log-scaled.
 
         The fold permutation is symmetric, so it leaves the determinant
         unchanged; only the gbtrf row swaps contribute a sign.
@@ -269,13 +251,20 @@ class BandFactor:
 
 def det_shifted(sys: BlockTridiagonalSystem, energy: complex, kind: str,
                 z: complex | None = None) -> ScaledComplex:
-    """det[energy - ring_variant(z)] as a log-scaled complex number."""
-    ws = RingBandWorkspace(sys)
-    f = ws.factor(energy, kind, z)
+    """det[energy - ring_variant(z)] as a log-scaled complex number.
+
+    The plain variant at z is factored as the balanced one at
+    w = z^(1/n): a diagonal similarity maps balanced(w) to plain(w^n),
+    so the determinant is the same.
+    """
+    _check_variant(kind, z)
+    if kind == "plain":
+        z = cmath.exp(cmath.log(z) / sys.n)
+    f = RingBandWorkspace(sys).factor(energy, None if kind == "corner_free" else z)
     d = f.det_scaled()
     if d.is_zero:
         return d
-    if (ws.N % 2) == 1:
+    if (sys.m * sys.n) % 2 == 1:
         d = ScaledComplex(-d.mantissa, d.log_modulus)
     return d
 
@@ -359,14 +348,14 @@ def duality_residual(sys: BlockTridiagonalSystem, energy: complex,
     return relative_difference(lhs, rhs)
 
 
-def resolvent_corners_open(sys: BlockTridiagonalSystem, energy: complex) -> CornerBlocks:
-    """Corner blocks of the open-chain resolvent [corner_free - energy]^{-1}.
+def resolvent_corners_open(sys: BlockTridiagonalSystem, energy: complex):
+    """Corner blocks (b11, b1n, bn1, bnn) of the open-chain resolvent
+    [corner_free - energy]^{-1}.
 
     z-independent, so one factorization serves every angle of the
     corner-formula check.  Raises SpectrumCollisionError when the energy
     is an eigenvalue of the open chain, where this route is undefined.
     """
-    f = RingBandWorkspace(sys).factor(energy, "corner_free")
+    f = RingBandWorkspace(sys).factor(energy)
     f.require_nonsingular("open-chain resolvent")
-    b11, b1n, bn1, bnn = f.corner_solve()
-    return CornerBlocks(b_1n=b1n, b_11=b11, b_nn=bnn, b_n1=bn1)
+    return f.corner_solve()

@@ -170,9 +170,10 @@ def test_exponents_bisect_unreliable_exit(tmp_path, scalar_file, capsys):
     assert len(rows) == 2
 
 
-def test_check_locates_once_beyond_oracle_range(tmp_path, monkeypatch):
-    bar = tmp_path / "long.json"
-    assert run_cli("gen-anderson", "--wx", "2", "--wy", "1", "--length", "24",
+def _check_locate_tolerances(tmp_path, monkeypatch, length):
+    """The tol of every locate_exponents call of one check run."""
+    bar = tmp_path / "bar.json"
+    assert run_cli("gen-anderson", "--wx", "2", "--wy", "1", "--length", str(length),
                    "--disorder", "18", "--seed", "7", "-o", str(bar)) == EXIT_OK
     calls = []
     locate = counting.locate_exponents
@@ -184,7 +185,31 @@ def test_check_locates_once_beyond_oracle_range(tmp_path, monkeypatch):
     monkeypatch.setattr(cli, "locate_exponents", counted)
     monkeypatch.setattr(counting, "locate_exponents", counted)
     assert run_cli("check", "--system", str(bar), "--energy", "0.5") == EXIT_OK
-    assert calls == [1e-8]
+    return calls
+
+
+def test_check_locates_once_beyond_oracle_range(tmp_path, monkeypatch):
+    assert _check_locate_tolerances(tmp_path, monkeypatch, 24) == [1e-8]
+
+
+def test_check_locates_once_inside_oracle_range(tmp_path, monkeypatch):
+    # every line takes its exponents from the locator, not the direct oracle
+    assert _check_locate_tolerances(tmp_path, monkeypatch, 4) == [1e-8]
+
+
+@pytest.mark.parametrize("wx, wy, length, seed", [
+    (2, 2, 8, 2),      # the direct oracle's total sum was 1.6e-7 off
+    (2, 2, 10, 2),     # and 5.1e-5 off, both flagged reliable
+    (2, 2, 4, 1),      # an exponent pair within 1e-14 of the Jensen level 0
+    (3, 3, 4, 10502),  # likewise
+])
+def test_check_passes_on_short_disordered_bars(tmp_path, capsys, wx, wy, length, seed):
+    bar = tmp_path / "bar.json"
+    assert run_cli("gen-anderson", "--wx", str(wx), "--wy", str(wy),
+                   "--length", str(length), "--disorder", "18",
+                   "--seed", str(seed), "-o", str(bar)) == EXIT_OK
+    assert run_cli("check", "--system", str(bar), "--energy", "0.5") == EXIT_OK
+    assert capsys.readouterr().out.splitlines()[-1] == "overall: PASS"
 
 
 def test_check_passes_on_generated_bar(bar_file, capsys):

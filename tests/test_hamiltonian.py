@@ -39,7 +39,7 @@ def dense_variant(sys, kind, z=None):
 
 def balanced_corners(sys, E, z, ws=None):
     """Corner blocks (b11, b1n, bn1, bnn) of [balanced(z) - E]^{-1}."""
-    f = (ws or RingBandWorkspace(sys)).factor(E, "balanced", z)
+    f = (ws or RingBandWorkspace(sys)).factor(E, z)
     f.require_nonsingular(f"balanced resolvent at z={z:.6g}")
     return f.corner_solve()
 
@@ -135,9 +135,23 @@ def test_open_resolvent_matches_dense_inverse():
     sys = random_system(rng, 3, 5)
     E = 0.4 + 0.7j
     g = np.linalg.inv(dense_variant(sys, "corner_free") - E * np.eye(15))
-    co = resolvent_corners_open(sys, E)
-    assert np.allclose(co.b_11, g[:3, :3], atol=1e-10)
-    assert np.allclose(co.b_n1, g[-3:, :3], atol=1e-10)
+    b11, b1n, bn1, bnn = resolvent_corners_open(sys, E)
+    assert np.allclose(b11, g[:3, :3], atol=1e-10)
+    assert np.allclose(bn1, g[-3:, :3], atol=1e-10)
+
+
+def test_inf_norm_matches_dense():
+    # the pivot scale comes from precomputed row sums, not from the band
+    rng = np.random.default_rng(43)
+    for n in range(3, 8):
+        sys = random_system(rng, int(rng.integers(1, 4)), n)
+        ws = RingBandWorkspace(sys)
+        E = complex(rng.normal(), rng.normal() * 0.3)
+        z = rng.uniform(0.3, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
+        shift = E * np.eye(sys.m * n)
+        for kind, zz in (("balanced", z), ("corner_free", None)):
+            dense = np.linalg.norm(build_hamiltonian(sys, kind, zz) - shift, np.inf)
+            assert ws.factor(E, zz).inf_norm == pytest.approx(dense, rel=1e-14)
 
 
 def test_resolvent_hermitian_structure():
