@@ -121,11 +121,11 @@ def cmd_exponents(args) -> int:
     return status
 
 
-def _clear_level(xi: float, exponents, margin: float = 0.02) -> float:
-    """The first of xi, xi + margin, xi + 2 margin, ... at least margin
-    from every exponent, so the Jensen contour stays off the spectrum."""
-    while min(abs(x - xi) for x in exponents) < margin:
-        xi += margin
+def _clear_level(xi: float, exponents) -> float:
+    """The first of xi, xi + 0.02, xi + 0.04, ... at least 0.02 from every
+    exponent, so the Jensen contour stays off the spectrum."""
+    while min(abs(x - xi) for x in exponents) < 0.02:
+        xi += 0.02
     return xi
 
 
