@@ -145,7 +145,10 @@ def _pencil(ws: RingBandWorkspace, energy: complex, xi: float,
     eye, zero = np.eye(m), np.zeros((m, m))
     a0 = np.vstack([ca, np.hstack([zero, eye]) - ba])
     a1 = np.vstack([np.hstack([eye, zero]) - ca, ba])
-    return scipy.linalg.eigvals(a0, -a1)
+    # the pencil's far eigenvalues overflow or come out as inf/nan
+    # quotients inside scipy; they lie far from every level in use
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        return scipy.linalg.eigvals(a0, -a1)
 
 
 def _decide(ws: RingBandWorkspace, energy: complex, xi: float,

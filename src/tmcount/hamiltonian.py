@@ -16,13 +16,26 @@ checks and tests.  Everything else works on ``RingBandWorkspace``:
 shifted determinants and resolvent corner blocks come from a banded LU
 factorization of two operators only, the balanced ring and the open
 chain.  The plain determinant at z is the balanced one at z**(1/n), by
-the similarity above.  The ring ordering 1, n, 2, n-1, ... folds the
-corner blocks into a band of block width two, so the factorization is
+the similarity above.  The ring ordering 1, n, 2, n-1, ..., reversed
+so that ring blocks 1 and n take the last two slots, folds the corner
+blocks into a band of block width two, so the factorization is
 partial-pivoted LAPACK ``gbtrf`` on a genuinely banded matrix: stable at
-any contour radius and linear-time in n.  The full inverse is never
-formed; corner blocks come from solves against 2m unit columns.  The
-counting path factors the balanced ring; the open-chain corners of
-``resolvent_corners_open`` serve only the corner-formula cross-check.
+any contour radius and linear-time in n.  The band at each (energy, z)
+is one product of four weights with a stack of four band templates.
+The full inverse is never formed; the corner blocks come from 2m unit
+columns in the last two slots.  Forward substitution leaves every row
+above the trailing 2m + kl zero, and back substitution of the last 2m
+rows reads only the rows below them, so only that trailing window of
+the factor is solved, at a cost independent of n.
+
+A factor collides with the spectrum (``SpectrumCollisionError``) when
+it has an exactly zero pivot or its corner blocks are not finite.  The
+size of the pivots is no test: the last pivot is about 1/|G_11|, which
+is legitimately small next to an exponent on a long bar.  A level within
+rounding of an exponent is what the counting pencil's near_eigenvalue
+flag reports.  The counting path factors the balanced ring; the
+open-chain corners of ``resolvent_corners_open`` serve only the
+corner-formula cross-check.
 """
 
 from __future__ import annotations
@@ -37,10 +50,6 @@ from scipy.linalg import lapack
 from .logscale import ScaledComplex, relative_difference
 from .operators import BlockTridiagonalSystem
 from .transfer import NumericalError, transfer_product
-
-#: relative pivot size below which the shifted operator is treated as
-#: singular (the contour touches the spectrum)
-PIVOT_THRESHOLD = 1e-13
 
 #: refuse to form z**n (or e^{n xi}) past this exponent
 OVERFLOW_GUARD = 300.0
@@ -110,75 +119,70 @@ def _fold_order(n: int) -> np.ndarray:
 class RingBandWorkspace:
     """Reusable banded-LU scaffolding for one system.
 
-    Holds the folded band templates of the diagonal blocks, of the
-    forward couplings B_k (the closure block B_n included), of the
-    backward couplings C_k (C_1 included) and of the open chain, and the
-    row sums of |B_k| and |C_k|, so factoring at a new (energy, z) is a
-    few vector updates plus one ``gbtrf``.  Not safe for concurrent use
-    from threads.
+    Holds one stack of four folded band templates: the diagonal blocks,
+    the forward couplings B_k (the closure block B_n included), the
+    backward couplings C_k (C_1 included) and the identity.  For n >= 3
+    they occupy distinct band entries, so the band of the balanced ring
+    at (energy, z) is the single product [1, z, 1/z, -energy] @ stack,
+    followed by one ``gbtrf``.  Not safe for concurrent use from threads.
     """
 
     def __init__(self, sys: BlockTridiagonalSystem):
         self.sys = sys
-        self.m, self.n = sys.m, sys.n
-        self.N = sys.m * sys.n
-        pos = _fold_order(sys.n)
-        m, n = sys.m, sys.n
+        m, n = self.m, self.n = sys.m, sys.n
+        self.N = m * n
+        # reversed fold: ring blocks 1 and n take the last two slots
+        pos = n - 1 - _fold_order(n)
         kl = min(3 * m - 1, self.N - 1)
         self.kl = self.ku = kl
-        shape = (2 * self.kl + self.ku + 1, self.N)
-        self.t_diag = np.zeros(shape, dtype=complex, order="F")
-        self.t_fwd = np.zeros(shape, dtype=complex, order="F")
-        self.t_bwd = np.zeros(shape, dtype=complex, order="F")
+        self._shape = (2 * self.kl + self.ku + 1, self.N)
+        # each template is stored transposed, (column, band row), so its
+        # flattening is the column-major band and the product reshapes
+        # to a Fortran band without a copy
+        stack = np.zeros((4, self.N, self._shape[0]), dtype=complex)
         ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
         off = self.kl + self.ku
 
-        def put(t, bi, bj, blk):
+        def band_index(bi, bj):
             r0, c0 = pos[bi] * m, pos[bj] * m
-            t[off + (r0 - c0) + (ii - jj), c0 + jj] = blk
+            return off + (r0 - c0) + (ii - jj), c0 + jj
 
-        for k in range(n):
-            put(self.t_diag, k, k, sys.A[k])
-            put(self.t_fwd, k, (k + 1) % n, sys.B[k])
-            put(self.t_bwd, k, (k - 1) % n, sys.C[k])
-        # the open chain is the ring without its closure blocks B_n and C_1
-        self.t_open = self.t_diag + self.t_fwd + self.t_bwd
-        put(self.t_open, n - 1, 0, np.zeros((m, m)))
-        put(self.t_open, 0, n - 1, np.zeros((m, m)))
-        # block row k holds A_k, B_k and C_k, and n >= 3 keeps them in
-        # distinct block columns, so the inf-norm is a sum of row sums
-        self._a = np.array(sys.A)
-        self._row_b = np.abs(np.array(sys.B)).sum(axis=2)
-        self._row_c = np.abs(np.array(sys.C)).sum(axis=2)
-        self._row_open = self._row_b + self._row_c
-        self._row_open[0], self._row_open[-1] = self._row_b[0], self._row_c[-1]
-        # unit columns for the two corner block-columns; slots 0 and 1 of
-        # the fold are ring blocks 1 and n
-        rhs = np.zeros((self.N, 2 * m), dtype=complex, order="F")
-        rhs[:m, :m] = np.eye(m)
-        rhs[m:2 * m, m:] = np.eye(m)
+        for t, blocks, step in ((0, sys.A, 0), (1, sys.B, 1), (2, sys.C, -1)):
+            for k in range(n):
+                row, col = band_index(k, (k + step) % n)
+                stack[t, col, row] = blocks[k]
+        stack[3, :, off] = 1.0
+        self._stack = stack.reshape(4, -1)
+        # the open chain is the ring at z = 1 without its closure blocks
+        # B_n and C_1
+        self._closure = tuple(np.concatenate(ix) for ix in
+                              zip(band_index(n - 1, 0), band_index(0, n - 1)))
+        # unit columns for the two corner block-columns in the trailing
+        # window of t rows: no L step above row N - t touches them, and
+        # the U solve of the last 2m rows needs only the rows below
+        self._window = min(2 * m + kl, self.N)
+        rhs = np.zeros((self._window, 2 * m), dtype=complex, order="F")
+        rhs[-m:, :m] = np.eye(m)
+        rhs[-2 * m:-m, m:] = np.eye(m)
         self._corner_rhs = rhs
 
     def factor(self, energy: complex, z: complex | None = None) -> "BandFactor":
         """Factor (balanced ring at z - energy), or (open chain - energy)
         when z is None, with partial pivoting."""
-        row_a = np.abs(self._a - energy * np.eye(self.m)).sum(axis=2)
         if z is None:
-            ab = self.t_open.copy(order="F")
-            rows = row_a + self._row_open
+            weights = np.array([1.0, 1.0, 1.0, -energy], dtype=complex)
+        elif z == 0:
+            raise ValueError("ring coupling weight 1/z is undefined at z = 0")
         else:
-            if z == 0:
-                raise ValueError("ring coupling weight 1/z is undefined at z = 0")
-            ab = self.t_fwd * z
-            ab += self.t_bwd * (1.0 / z)
-            ab += self.t_diag
-            rows = row_a + abs(z) * self._row_b + self._row_c / abs(z)
-        ab[self.kl + self.ku] -= energy
+            weights = np.array([1.0, z, 1.0 / z, -energy], dtype=complex)
+        ab = (weights @ self._stack).reshape(self._shape, order="F")
+        if z is None:
+            ab[self._closure] = 0.0
         lub, ipiv, info = lapack.zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info < 0:
             raise RuntimeError(f"gbtrf failed with info={info}")
         return BandFactor(workspace=self, lub=lub, ipiv=ipiv,
-                          exact_singular=info > 0, inf_norm=float(rows.max()))
+                          exact_singular=info > 0)
 
 
 @dataclass
@@ -189,32 +193,33 @@ class BandFactor:
     lub: np.ndarray
     ipiv: np.ndarray
     exact_singular: bool
-    inf_norm: float
-
-    @property
-    def min_pivot(self) -> float:
-        ws = self.workspace
-        return float(np.min(np.abs(self.lub[ws.kl + ws.ku, :])))
 
     def require_nonsingular(self, context: str):
-        if self.exact_singular or self.min_pivot < PIVOT_THRESHOLD * max(self.inf_norm, 1.0):
+        """Raise SpectrumCollisionError on an exactly zero pivot."""
+        if self.exact_singular:
             raise SpectrumCollisionError(
-                f"{context}: shifted ring operator is numerically singular "
-                f"(smallest pivot {self.min_pivot:.2e})")
+                f"{context}: shifted ring operator is singular (zero pivot)")
 
     def corner_solve(self):
-        """The four corner blocks of the inverse, via 2m column solves."""
+        """The four corner blocks of the inverse, via 2m column solves.
+
+        Only the trailing window of the factor is solved.  Raises
+        SpectrumCollisionError when the blocks are not finite.
+        """
         ws = self.workspace
-        m = ws.m
-        rhs = ws._corner_rhs.copy(order="F")
-        x, info = lapack.zgbtrs(self.lub, ws.kl, ws.ku, rhs, self.ipiv,
-                                overwrite_b=1)
+        m, s = ws.m, ws.N - ws._window
+        x, info = lapack.zgbtrs(self.lub[:, s:], ws.kl, ws.ku,
+                                ws._corner_rhs.copy(order="F"),
+                                self.ipiv[s:] - s, overwrite_b=1)
         if info != 0:
             raise RuntimeError(f"gbtrs failed with info={info}")
-        b11 = x[:m, :m]
-        b1n = x[:m, m:]
-        bn1 = x[m:2 * m, :m]
-        bnn = x[m:2 * m, m:]
+        if not np.isfinite(x[-2 * m:]).all():
+            raise SpectrumCollisionError(
+                "corner blocks of the shifted ring operator are not finite")
+        b11 = x[-m:, :m]
+        b1n = x[-m:, m:]
+        bn1 = x[-2 * m:-m, :m]
+        bnn = x[-2 * m:-m, m:]
         return b11, b1n, bn1, bnn
 
     def logabsdet(self) -> float:
@@ -250,7 +255,8 @@ class BandFactor:
 # ---------------------------------------------------------------------------
 
 def det_shifted(sys: BlockTridiagonalSystem, energy: complex, kind: str,
-                z: complex | None = None) -> ScaledComplex:
+                z: complex | None = None,
+                workspace: RingBandWorkspace | None = None) -> ScaledComplex:
     """det[energy - ring_variant(z)] as a log-scaled complex number.
 
     The plain variant at z is factored as the balanced one at
@@ -260,8 +266,8 @@ def det_shifted(sys: BlockTridiagonalSystem, energy: complex, kind: str,
     _check_variant(kind, z)
     if kind == "plain":
         z = cmath.exp(cmath.log(z) / sys.n)
-    f = RingBandWorkspace(sys).factor(energy, None if kind == "corner_free" else z)
-    d = f.det_scaled()
+    ws = workspace if workspace is not None else RingBandWorkspace(sys)
+    d = ws.factor(energy, None if kind == "corner_free" else z).det_scaled()
     if d.is_zero:
         return d
     if (sys.m * sys.n) % 2 == 1:
@@ -303,49 +309,56 @@ def similarity_transform_check(sys: BlockTridiagonalSystem, z: complex) -> float
     return float(max(res1, res2))
 
 
-def _char_poly_scaled(sys: BlockTridiagonalSystem, energy: complex,
+def _char_poly_scaled(lam: np.ndarray, log_scale: float,
                       z: complex) -> ScaledComplex:
-    """det[T(energy) - z] times det[B_1 ... B_n], in log scale.
+    """det[T(energy) - z] in log scale.
 
-    Evaluated from the eigenvalues of the rescaled transfer product, one
-    scaled factor per eigenvalue, so the value is finite even when the
-    product itself would overflow.
+    lam are the eigenvalues of the rescaled transfer product, whose
+    scale is e^log_scale.  One scaled factor per eigenvalue keeps the
+    value finite even when the product itself would overflow.
     """
-    tm = transfer_product(sys, energy)
-    lam = np.linalg.eigvals(tm.mat)
     lz = math.log(abs(z)) if z != 0 else -math.inf
     out = ScaledComplex(1.0 + 0j, 0.0)
     for li in lam:
-        la = tm.log_scale + (math.log(abs(li)) if li != 0 else -math.inf)
+        la = log_scale + (math.log(abs(li)) if li != 0 else -math.inf)
         ref = max(la, lz, 0.0)
-        f = li * cmath.exp(tm.log_scale - ref) - z * math.exp(-ref)
+        f = li * cmath.exp(log_scale - ref) - z * math.exp(-ref)
         sc = ScaledComplex.from_complex(f)
         if sc.is_zero:
             return ScaledComplex.zero()
         out = out * ScaledComplex(sc.mantissa, sc.log_modulus + ref)
-    for b in sys.B:
-        sign, lad = np.linalg.slogdet(b)
-        out = out * ScaledComplex(complex(sign), float(lad))
     return out
 
 
-def duality_residual(sys: BlockTridiagonalSystem, energy: complex,
-                     z: complex) -> float:
+def duality_residual(sys: BlockTridiagonalSystem, energy: complex, z) -> float:
     """Relative mismatch between the two characteristic polynomials.
 
     Left side: det[T(E) - z] det[B_1 ... B_n] through the propagator's
     eigenvalues.  Right side: (-z)**m det[E - ring_plain(z)] through the
     banded determinant.  Both sides are kept in log scale; a residual of
-    zero is returned when both vanish.
+    zero is returned when both vanish.  z is one point or a sequence of
+    them, and the largest residual is returned; the transfer product,
+    its eigenvalues and the banded workspace are formed once for all.
     """
-    if z == 0:
+    zs = np.atleast_1d(np.asarray(z, dtype=complex))
+    if np.any(zs == 0):
         raise ValueError("duality is stated for z != 0")
-    lhs = _char_poly_scaled(sys, energy, z)
-    mz = ScaledComplex.from_complex(-z)
-    prefactor = ScaledComplex(mz.mantissa ** sys.m / abs(mz.mantissa ** sys.m),
-                              sys.m * mz.log_modulus)
-    rhs = prefactor * det_shifted(sys, energy, "plain", z)
-    return relative_difference(lhs, rhs)
+    tm = transfer_product(sys, energy)
+    lam = np.linalg.eigvals(tm.mat)
+    det_b = ScaledComplex(1.0 + 0j, 0.0)
+    for b in sys.B:
+        sign, lad = np.linalg.slogdet(b)
+        det_b = det_b * ScaledComplex(complex(sign), float(lad))
+    ws = RingBandWorkspace(sys)
+    worst = 0.0
+    for zk in map(complex, zs):
+        lhs = _char_poly_scaled(lam, tm.log_scale, zk) * det_b
+        mz = ScaledComplex.from_complex(-zk)
+        prefactor = ScaledComplex(mz.mantissa ** sys.m / abs(mz.mantissa ** sys.m),
+                                  sys.m * mz.log_modulus)
+        rhs = prefactor * det_shifted(sys, energy, "plain", zk, workspace=ws)
+        worst = max(worst, relative_difference(lhs, rhs))
+    return worst
 
 
 def resolvent_corners_open(sys: BlockTridiagonalSystem, energy: complex):

@@ -24,6 +24,7 @@ from tmcount import (
     locate_exponents,
     positive_exponent_sum,
     stable_exponents,
+    total_exponent_sum,
     transfer_product,
 )
 
@@ -321,6 +322,22 @@ def test_locate_factorization_budget(monkeypatch):
     exps = locate_exponents(sys, 0.5)
     assert exps.reliable and len(exps.values) == 8
     assert len(calls) <= 40
+
+
+@pytest.mark.parametrize("wx, wy, disorder", [(2, 1, 18.0), (2, 2, 12.0)])
+def test_long_bar_counts_and_locates(wx, wy, disorder):
+    # n = 1000: next to an exponent the last pivot of the factor is about
+    # 1/|G_11|, tiny on a long bar, which a pivot-size collision test
+    # mistook for the spectrum
+    sys = generate(AndersonConfig(wx=wx, wy=wy, length=1000,
+                                  disorder=disorder, seed=1))
+    got = locate_exponents(sys, 0.5, tol=1e-6)
+    assert got.reliable
+    assert sum(got.values) == pytest.approx(total_exponent_sum(sys), abs=1e-10)
+    located = np.asarray(got.values)
+    for s in counting_sweep(sys, 0.5, np.linspace(-1.5, 1.5, 31)):
+        assert s.error is None
+        assert s.count == int(np.sum(located < s.xi))
 
 
 def test_locate_clean_doublets_to_tight_tolerance():

@@ -115,19 +115,24 @@ def test_determinant_vanishes_on_ring_spectrum():
 
 
 def test_resolvent_corners_match_dense_inverse():
+    # the corner solve reads only a trailing window of min(5m - 1, mn)
+    # rows of the factor: the whole matrix at n = 3 and 4, a strict part
+    # of it from n = 5 on
     rng = np.random.default_rng(34)
-    for _ in range(5):
+    for n in range(3, 13):
         m = int(rng.integers(1, 4))
-        n = int(rng.integers(3, 7))
         sys = random_system(rng, m, n)
+        ws = RingBandWorkspace(sys)
         E = complex(rng.normal(), rng.normal() * 0.2)
-        z = rng.uniform(0.6, 1.6) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-        G = np.linalg.inv(dense_variant(sys, "balanced", z) - E * np.eye(m * n))
-        b11, b1n, bn1, bnn = balanced_corners(sys, E, z)
-        assert np.allclose(b11, G[:m, :m], atol=1e-10)
-        assert np.allclose(b1n, G[:m, -m:], atol=1e-10)
-        assert np.allclose(bn1, G[-m:, :m], atol=1e-10)
-        assert np.allclose(bnn, G[-m:, -m:], atol=1e-10)
+        for mag in (-2.0, 0.0, 2.0):
+            z = cmath.exp(complex(mag, rng.uniform(0, 2 * np.pi)))
+            G = np.linalg.inv(dense_variant(sys, "balanced", z) - E * np.eye(m * n))
+            scale = np.max(np.abs(G))
+            b11, b1n, bn1, bnn = balanced_corners(sys, E, z, ws)
+            assert np.allclose(b11, G[:m, :m], atol=1e-10 * scale)
+            assert np.allclose(b1n, G[:m, -m:], atol=1e-10 * scale)
+            assert np.allclose(bn1, G[-m:, :m], atol=1e-10 * scale)
+            assert np.allclose(bnn, G[-m:, -m:], atol=1e-10 * scale)
 
 
 def test_open_resolvent_matches_dense_inverse():
@@ -140,18 +145,18 @@ def test_open_resolvent_matches_dense_inverse():
     assert np.allclose(bn1, g[-3:, :3], atol=1e-10)
 
 
-def test_inf_norm_matches_dense():
-    # the pivot scale comes from precomputed row sums, not from the band
-    rng = np.random.default_rng(43)
-    for n in range(3, 8):
-        sys = random_system(rng, int(rng.integers(1, 4)), n)
-        ws = RingBandWorkspace(sys)
-        E = complex(rng.normal(), rng.normal() * 0.3)
-        z = rng.uniform(0.3, 3.0) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
-        shift = E * np.eye(sys.m * n)
-        for kind, zz in (("balanced", z), ("corner_free", None)):
-            dense = np.linalg.norm(build_hamiltonian(sys, kind, zz) - shift, np.inf)
-            assert ws.factor(E, zz).inf_norm == pytest.approx(dense, rel=1e-14)
+def test_exact_zero_pivot_raises():
+    # the uniform 3-cycle at z = 1 has eigenvalues {2, -1, -1} and the
+    # open 3-chain {-sqrt(2), 0, sqrt(2)}; both factor with an exactly
+    # zero pivot there
+    ws = RingBandWorkspace(scalar_chain(3))
+    for energy, z in ((2.0, 1.0), (0.0, None)):
+        f = ws.factor(energy, z)
+        assert f.exact_singular
+        with pytest.raises(SpectrumCollisionError):
+            f.require_nonsingular("test")
+        with pytest.raises(SpectrumCollisionError):
+            f.corner_solve()
 
 
 def test_resolvent_hermitian_structure():
