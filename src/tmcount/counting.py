@@ -92,10 +92,9 @@ class CountingSample:
 
 def _corner_trace(f: BandFactor, z: complex) -> complex:
     """tr[z G_1n B_n - (1/z) G_n1 C_1], G the inverse factored in f at z."""
-    sys = f.workspace.sys
+    bn_h, c1_h = f.workspace.closure_adjoints
     b11, b1n, bn1, bnn = f.corner_solve()
-    return complex(z * np.trace(b1n @ sys.B[sys.n - 1])
-                   - np.trace(bn1 @ sys.C[0]) / z)
+    return complex(z * np.vdot(bn_h, b1n) - np.vdot(c1_h, bn1) / z)
 
 
 def _grid_mean(ws: RingBandWorkspace, energy: complex, xi: float, n_phi: int,
@@ -113,7 +112,8 @@ def _grid_mean(ws: RingBandWorkspace, energy: complex, xi: float, n_phi: int,
             for j in range(n_phi):
                 z = cmath.exp(complex(xi, (j + shift) * step))
                 f = ws.factor(energy, z)
-                f.require_nonsingular(f"contour at xi={xi:.6g}, z={z:.6g}")
+                if f.exact_singular:
+                    f.require_nonsingular(f"contour at xi={xi:.6g}, z={z:.6g}")
                 values[j] = value(f, z)
         except SpectrumCollisionError:
             continue

@@ -20,13 +20,16 @@ the similarity above.  The ring ordering 1, n, 2, n-1, ..., reversed
 so that ring blocks 1 and n take the last two slots, folds the corner
 blocks into a band of block width two, so the factorization is
 partial-pivoted LAPACK ``gbtrf`` on a genuinely banded matrix: stable at
-any contour radius and linear-time in n.  The band at each (energy, z)
-is one product of four weights with a stack of four band templates.
-The full inverse is never formed; the corner blocks come from 2m unit
-columns in the last two slots.  Forward substitution leaves every row
-above the trailing 2m + kl zero, and back substitution of the last 2m
-rows reads only the rows below them, so only that trailing window of
-the factor is solved, at a cost independent of n.
+any contour radius and linear-time in n.  The band widths kl and ku are
+measured from the nonzero entries of the folded blocks: 2m on Anderson
+bars, whose couplings are identity blocks, and 3m - 1 on dense blocks.
+The band at each (energy, z) is one product of four weights with a
+stack of four templates that hold the nonzero entries only, scattered
+into zeros.  The full inverse is never formed; the corner blocks come
+from 2m unit columns in the last two slots.  Forward substitution leaves
+every row above the trailing 2m + kl zero, and back substitution of the
+last 2m rows reads only the rows below them, so only that trailing
+window of the factor is solved, at a cost independent of n.
 
 A factor collides with the spectrum (``SpectrumCollisionError``) when
 it has an exactly zero pivot or its corner blocks are not finite.  The
@@ -119,12 +122,19 @@ def _fold_order(n: int) -> np.ndarray:
 class RingBandWorkspace:
     """Reusable banded-LU scaffolding for one system.
 
-    Holds one stack of four folded band templates: the diagonal blocks,
-    the forward couplings B_k (the closure block B_n included), the
-    backward couplings C_k (C_1 included) and the identity.  For n >= 3
-    they occupy distinct band entries, so the band of the balanced ring
-    at (energy, z) is the single product [1, z, 1/z, -energy] @ stack,
-    followed by one ``gbtrf``.  Not safe for concurrent use from threads.
+    The band widths kl and ku are measured: the largest offsets below
+    and above the diagonal among the nonzero entries of the folded A, B
+    and C blocks, with the diagonal always counted, since it carries
+    -energy.  They are 2m on Anderson bars (identity couplings) at
+    n >= 3 and 3m - 1 on dense blocks.  Only nonzero entries are kept,
+    as one 4 x nnz stack of templates over their flat column-major band
+    positions: the diagonal blocks, the forward couplings B_k (the
+    closure block B_n included), the backward couplings C_k (C_1
+    included) and the identity.  Entries that share a position are
+    summed into one column; A's diagonal shares the identity's.  The
+    band of the balanced ring at (energy, z) is [1, z, 1/z, -energy] @
+    stack scattered into zeros, followed by one ``gbtrf``.  Not safe for
+    concurrent use from threads.
     """
 
     def __init__(self, sys: BlockTridiagonalSystem):
@@ -132,35 +142,36 @@ class RingBandWorkspace:
         m, n = self.m, self.n = sys.m, sys.n
         self.N = m * n
         # reversed fold: ring blocks 1 and n take the last two slots
-        pos = n - 1 - _fold_order(n)
-        kl = min(3 * m - 1, self.N - 1)
-        self.kl = self.ku = kl
+        start = (n - 1 - _fold_order(n)) * m
+        blocks = np.asarray((sys.A, sys.B, sys.C))
+        t, k, i, j = np.nonzero(blocks)
+        vals = blocks[t, k, i, j]
+        # ring block coupled to block k by template t; it wraps around
+        # only for the closure blocks B_n and C_1
+        other = k + np.array([0, 1, -1])[t]
+        closure = (other % n) != other
+        diag = np.arange(self.N)
+        t = np.concatenate([t, np.full(self.N, 3)])
+        rows = np.concatenate([start[k] + i, diag])
+        cols = np.concatenate([start[other % n] + j, diag])
+        vals = np.concatenate([vals, np.ones(self.N)])
+        self.kl = int(np.max(rows - cols))
+        self.ku = int(np.max(cols - rows))
         self._shape = (2 * self.kl + self.ku + 1, self.N)
-        # each template is stored transposed, (column, band row), so its
-        # flattening is the column-major band and the product reshapes
-        # to a Fortran band without a copy
-        stack = np.zeros((4, self.N, self._shape[0]), dtype=complex)
-        ii, jj = np.meshgrid(np.arange(m), np.arange(m), indexing="ij")
-        off = self.kl + self.ku
-
-        def band_index(bi, bj):
-            r0, c0 = pos[bi] * m, pos[bj] * m
-            return off + (r0 - c0) + (ii - jj), c0 + jj
-
-        for t, blocks, step in ((0, sys.A, 0), (1, sys.B, 1), (2, sys.C, -1)):
-            for k in range(n):
-                row, col = band_index(k, (k + step) % n)
-                stack[t, col, row] = blocks[k]
-        stack[3, :, off] = 1.0
-        self._stack = stack.reshape(4, -1)
-        # the open chain is the ring at z = 1 without its closure blocks
-        # B_n and C_1
-        self._closure = tuple(np.concatenate(ix) for ix in
-                              zip(band_index(n - 1, 0), band_index(0, n - 1)))
+        flat = cols * self._shape[0] + self.kl + self.ku + rows - cols
+        self._flat, column = np.unique(flat, return_inverse=True)
+        self._stack = np.zeros((4, self._flat.size), dtype=complex)
+        np.add.at(self._stack, (t, column), vals)
+        # the open chain is the ring at z = 1 without its closure blocks;
+        # for n >= 3 no other block shares their band positions
+        self._closure = np.unique(column[:closure.size][closure])
+        # conjugate transposes of B_n and C_1: tr(X Y) = vdot(Y^H, X)
+        self.closure_adjoints = tuple(np.ascontiguousarray(b.conj().T)
+                                      for b in (sys.B[n - 1], sys.C[0]))
         # unit columns for the two corner block-columns in the trailing
         # window of t rows: no L step above row N - t touches them, and
         # the U solve of the last 2m rows needs only the rows below
-        self._window = min(2 * m + kl, self.N)
+        self._window = min(2 * m + self.kl, self.N)
         rhs = np.zeros((self._window, 2 * m), dtype=complex, order="F")
         rhs[-m:, :m] = np.eye(m)
         rhs[-2 * m:-m, m:] = np.eye(m)
@@ -175,9 +186,12 @@ class RingBandWorkspace:
             raise ValueError("ring coupling weight 1/z is undefined at z = 0")
         else:
             weights = np.array([1.0, z, 1.0 / z, -energy], dtype=complex)
-        ab = (weights @ self._stack).reshape(self._shape, order="F")
+        band = weights @ self._stack
         if z is None:
-            ab[self._closure] = 0.0
+            band[self._closure] = 0.0
+        ab = np.zeros(self._shape[0] * self.N, dtype=complex)
+        ab[self._flat] = band
+        ab = ab.reshape(self._shape, order="F")
         lub, ipiv, info = lapack.zgbtrf(ab, self.kl, self.ku, overwrite_ab=1)
         if info < 0:
             raise RuntimeError(f"gbtrf failed with info={info}")

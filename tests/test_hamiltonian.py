@@ -1,17 +1,21 @@
 """Ring operators, banded determinants, resolvents, duality, similarity."""
 
 import cmath
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from tmcount import (
+    AndersonConfig,
+    BlockTridiagonalSystem,
     RingBandWorkspace,
     ScaleOverflowError,
     SpectrumCollisionError,
     build_hamiltonian,
     det_shifted,
     duality_residual,
+    generate,
     resolvent_corners_open,
     similarity_transform_check,
     transfer_product,
@@ -115,9 +119,10 @@ def test_determinant_vanishes_on_ring_spectrum():
 
 
 def test_resolvent_corners_match_dense_inverse():
-    # the corner solve reads only a trailing window of min(5m - 1, mn)
-    # rows of the factor: the whole matrix at n = 3 and 4, a strict part
-    # of it from n = 5 on
+    # the corner solve reads only a trailing window of min(2m + kl, mn)
+    # rows of the factor; kl is 3m - 1 on these dense blocks, so the
+    # window is the whole matrix at n = 3 and 4, a strict part of it
+    # from n = 5 on
     rng = np.random.default_rng(34)
     for n in range(3, 13):
         m = int(rng.integers(1, 4))
@@ -133,6 +138,116 @@ def test_resolvent_corners_match_dense_inverse():
             assert np.allclose(b1n, G[:m, -m:], atol=1e-10 * scale)
             assert np.allclose(bn1, G[-m:, :m], atol=1e-10 * scale)
             assert np.allclose(bnn, G[-m:, -m:], atol=1e-10 * scale)
+
+
+def folded_band_widths(H, m, n):
+    """(kl, ku) of the nonzero entries of H under the reversed fold
+    1, n, 2, n-1, ..., the diagonal included."""
+    order, lo, hi = [], 0, n - 1
+    while lo <= hi:
+        order.append(lo)
+        if hi != lo:
+            order.append(hi)
+        lo, hi = lo + 1, hi - 1
+    perm = np.concatenate([np.arange(b * m, (b + 1) * m) for b in order[::-1]])
+    r, c = np.nonzero(H[np.ix_(perm, perm)])
+    return max(0, int(np.max(r - c))), max(0, int(np.max(c - r)))
+
+
+def patterned_system(rng, m, n):
+    """Random blocks whose zero patterns differ from block to block.
+
+    The A_k are strictly upper, strictly lower or zero in turn.  The B_k
+    and C_k are 3I plus a strictly upper part, one corner entry or
+    nothing in turn, so the folded band reaches 3m - 1 above the
+    diagonal and only 2m below it.
+    """
+    ones = np.ones((m, m))
+    corner = np.zeros((m, m))
+    corner[0, -1] = 1.0
+    a_masks = (np.triu(ones, 1), np.tril(ones, -1), 0 * ones)
+    bc_masks = (np.triu(ones, 1), corner, 0 * ones)
+
+    def block(mask, shift):
+        g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+        return shift * np.eye(m) + mask * g
+
+    return BlockTridiagonalSystem.from_blocks(
+        [block(a_masks[k % 3], 0.0) for k in range(n)],
+        [block(bc_masks[k % 3], 3.0) for k in range(n)],
+        [block(bc_masks[(k + 1) % 3], 3.0) for k in range(n)])
+
+
+def sparse_systems():
+    """Identity-coupled disordered bars, a clean bar (zero A diagonal)
+    and a system with varying coupling patterns."""
+    rng = np.random.default_rng(43)
+    return [generate(AndersonConfig(2, 2, 6, 12.0, 1)),
+            generate(AndersonConfig(3, 2, 9, 18.0, 2)),
+            generate(AndersonConfig(2, 2, 7, 0.0, 0)),
+            patterned_system(rng, 3, 8)]
+
+
+def test_band_widths_measured_from_nonzero_entries():
+    for wx in range(1, 5):
+        for wy in range(1, wx + 1):
+            for n in (3, 4, 5, 8, 40):
+                ws = RingBandWorkspace(generate(AndersonConfig(wx, wy, n, 12.0, 1)))
+                assert ws.kl == ws.ku == 2 * wx * wy
+    rng = np.random.default_rng(44)
+    for m in (1, 2, 3):
+        for n in (3, 4, 7):
+            ws = RingBandWorkspace(random_system(rng, m, n))
+            assert ws.kl == ws.ku == 3 * m - 1
+    widths = []
+    for sys in sparse_systems():
+        H = dense_variant(sys, "balanced", 1.3)
+        ws = RingBandWorkspace(sys)
+        widths.append((ws.kl, ws.ku))
+        assert widths[-1] == folded_band_widths(H, sys.m, sys.n)
+    assert widths[-1] == (6, 8)
+
+
+def test_sparse_band_matches_dense_oracle():
+    for sys in sparse_systems():
+        m, n = sys.m, sys.n
+        ws = RingBandWorkspace(sys)
+        E = 0.3 + 0.2j
+        eye = np.eye(m * n)
+        for mag in (-1.5, 0.0, 1.5):
+            z = cmath.exp(complex(mag, 0.7))
+            G = np.linalg.inv(dense_variant(sys, "balanced", z) - E * eye)
+            scale = np.max(np.abs(G))
+            b11, b1n, bn1, bnn = balanced_corners(sys, E, z, ws)
+            assert np.allclose(b11, G[:m, :m], atol=1e-10 * scale)
+            assert np.allclose(b1n, G[:m, -m:], atol=1e-10 * scale)
+            assert np.allclose(bn1, G[-m:, :m], atol=1e-10 * scale)
+            assert np.allclose(bnn, G[-m:, -m:], atol=1e-10 * scale)
+            for kind, zz in (("plain", z), ("balanced", z), ("corner_free", None)):
+                sc = det_shifted(sys, E, kind, zz, workspace=ws)
+                dense = np.linalg.det(E * eye - dense_variant(sys, kind, zz))
+                assert cmath.isclose(sc.mantissa * np.exp(sc.log_modulus), dense,
+                                     rel_tol=1e-10)
+        g = np.linalg.inv(dense_variant(sys, "corner_free") - E * eye)
+        scale = np.max(np.abs(g))
+        for got, want in zip(resolvent_corners_open(sys, E),
+                             (g[:m, :m], g[:m, -m:], g[-m:, :m], g[-m:, -m:])):
+            assert np.allclose(got, want, atol=1e-10 * scale)
+
+
+def test_workspace_holds_only_nonzero_entries():
+    # regression: four dense band templates of this bar held 139 MB,
+    # 98.8 % of it zeros; its nonzero entries take about 7 MB
+    sys = generate(AndersonConfig(4, 4, 1000, 12.0, 1))
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ws = RingBandWorkspace(sys)
+        held = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    assert ws.kl == ws.ku == 32
+    assert held < 16e6
 
 
 def test_open_resolvent_matches_dense_inverse():
