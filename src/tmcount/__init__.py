@@ -24,8 +24,8 @@ from .operators import (BlockTridiagonalSystem, ValidationError,
                         ValidationReport, hermitian_check, load_system,
                         save_system, validate_system)
 from .transfer import (ExponentSet, NumericalError, TransferMatrix,
-                       direct_count, one_step_transfer, stable_exponents,
-                       transfer_product)
+                       direct_count, one_step_factors, one_step_transfer,
+                       stable_exponents, transfer_product)
 
 __all__ = [
     "AndersonConfig",
@@ -58,6 +58,7 @@ __all__ = [
     "jensen_relation",
     "load_system",
     "locate_exponents",
+    "one_step_factors",
     "one_step_transfer",
     "positive_exponent_sum",
     "relative_difference",

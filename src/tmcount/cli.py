@@ -83,7 +83,7 @@ def cmd_count(args) -> int:
         if close:
             fh.close()
     ok = sum(1 for s in samples if s.error is None)
-    return EXIT_OK if (ok >= 1 or not samples) else EXIT_NUMERICAL
+    return EXIT_OK if ok >= 1 else EXIT_NUMERICAL
 
 
 def cmd_exponents(args) -> int:

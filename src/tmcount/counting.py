@@ -39,13 +39,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg import lapack
 
 from .hamiltonian import (OVERFLOW_GUARD, BandFactor, RingBandWorkspace,
                           ScaleOverflowError, SpectrumCollisionError,
                           resolvent_corners_open)
 from .operators import BlockTridiagonalSystem
-from .transfer import ExponentSet, NumericalError, one_step_transfer
+from .transfer import ExponentSet, NumericalError, one_step_factors
 
 _MAX_BRACKET_GROWTH = 64
 
@@ -64,8 +64,16 @@ class QuadratureSpec:
     n_phi: int = 64
 
     def __post_init__(self):
+        if not isinstance(self.n_phi, (int, np.integer)) or isinstance(self.n_phi, bool):
+            raise ValueError(f"n_phi must be an integer, got {self.n_phi!r}")
         if self.n_phi < 4:
             raise ValueError("n_phi must be at least 4")
+
+
+def _require_finite(name: str, value) -> None:
+    """Raise ValueError naming the argument unless value is finite."""
+    if not cmath.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -143,12 +151,28 @@ def _pencil(ws: RingBandWorkspace, energy: complex, xi: float,
     ca = (sys.C[0] / z0) @ np.hstack([gn1, gnn])
     ba = (z0 * sys.B[ws.n - 1]) @ np.hstack([g11, g1n])
     eye, zero = np.eye(m), np.zeros((m, m))
+    if not (np.isfinite(ca).all() and np.isfinite(ba).all()):
+        raise SpectrumCollisionError(
+            f"exponent pencil at xi={xi:.6g}: corner products are not finite")
     a0 = np.vstack([ca, np.hstack([zero, eye]) - ba])
     a1 = np.vstack([np.hstack([eye, zero]) - ca, ba])
+    return _eigvals(a0, -a1)
+
+
+def _eigvals(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the pencil (a, b), as scipy.linalg.eigvals(a, b) gives
+    them but without its argument checks: zggev with the same workspace,
+    alpha/beta, and inf where beta = 0 and alpha is not."""
+    lwork = int(lapack.zggev(a, b, lwork=-1)[-2][0].real)
+    alpha, beta, _, _, _, info = lapack.zggev(a, b, 0, 0, lwork)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"zggev failed with info={info}")
     # the pencil's far eigenvalues overflow or come out as inf/nan
-    # quotients inside scipy; they lie far from every level in use
+    # quotients; they lie far from every level in use
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        return scipy.linalg.eigvals(a0, -a1)
+        t = alpha / beta
+    t[(beta == 0) & (alpha != 0)] = np.inf
+    return t
 
 
 def _decide(ws: RingBandWorkspace, energy: complex, xi: float,
@@ -199,6 +223,8 @@ def counting_function(sys: BlockTridiagonalSystem, energy: complex, xi: float,
     near_eigenvalue is set when an exponent lies within rounding of the
     level, where the count may be off by the exponents at the level.
     """
+    _require_finite("xi", xi)
+    _require_finite("energy", energy)
     if abs(xi) > OVERFLOW_GUARD:
         raise ScaleOverflowError(f"|xi| = {abs(xi):.3g} exceeds the overflow guard")
     n_phi = (quad or QuadratureSpec()).n_phi
@@ -252,6 +278,8 @@ def counting_sweep(sys: BlockTridiagonalSystem, energy: complex, xi_grid,
     away from flagged points.
     """
     xi_grid = [float(x) for x in xi_grid]
+    if not xi_grid:
+        raise ValueError("xi grid must not be empty")
     if not all(math.isfinite(x) for x in xi_grid):
         raise ValueError("xi grid must be finite")
     if any(b <= a for a, b in zip(xi_grid, xi_grid[1:])):
@@ -278,12 +306,10 @@ def counting_sweep(sys: BlockTridiagonalSystem, energy: complex, xi_grid,
 def _default_bracket(sys: BlockTridiagonalSystem, energy: complex):
     # |eig(T)| is bounded by the product of one-step norms, so the
     # per-step exponents cannot leave [-max log||t^-1||, max log||t||]
-    his, los = [], []
-    for k in range(sys.n):
-        t = one_step_transfer(sys, k, energy)
-        his.append(math.log(np.linalg.norm(t, np.inf)))
-        los.append(math.log(np.linalg.norm(np.linalg.inv(t), np.inf)))
-    return -(max(los) + 0.1), max(his) + 0.1
+    t = one_step_factors(sys, energy)
+    hi = np.linalg.norm(t, np.inf, axis=(1, 2)).max()
+    lo = np.linalg.norm(np.linalg.inv(t), np.inf, axis=(1, 2)).max()
+    return -(math.log(lo) + 0.1), math.log(hi) + 0.1
 
 
 def _reproduces(estimates: np.ndarray, xi: float, count: int, tol: float) -> bool:
@@ -316,6 +342,7 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     if not (math.isfinite(tol) and tol > eps / n):
         raise ValueError(f"tol must be finite and positive, above eps/n = "
                          f"{eps / n:.3g}, got {tol!r}")
+    _require_finite("energy", energy)
     window = 0.5 * math.log(n * tol / eps)
     ws = RingBandWorkspace(sys)
 
@@ -327,6 +354,8 @@ def locate_exponents(sys: BlockTridiagonalSystem, energy: complex,
     explicit = bracket is not None
     if explicit:
         lo, hi = float(bracket[0]), float(bracket[1])
+        if not (math.isfinite(lo) and math.isfinite(hi)):
+            raise ValueError(f"bracket must be finite, got {bracket!r}")
         if not lo < hi:
             raise ValueError("bracket invalid: lower edge must be below upper edge")
     else:
@@ -383,6 +412,8 @@ def _jensen_rhs(sys: BlockTridiagonalSystem, energy: complex, xi: float) -> floa
     balanced ring at radius e^xi, whose determinant is identical and
     whose entries stay at scale e^|xi|.
     """
+    _require_finite("xi", xi)
+    _require_finite("energy", energy)
     average = _grid_mean(RingBandWorkspace(sys), energy, xi, 512,
                          lambda f, z: f.logabsdet()).real
     log_det_b = sum(float(np.linalg.slogdet(b)[1]) for b in sys.B)
@@ -398,9 +429,10 @@ def jensen_relation(sys: BlockTridiagonalSystem, energy: complex, xi: float,
     full-circle quadrature of log|det| minus the coupling normalization.
     Returns (lhs, rhs).
     """
+    rhs = _jensen_rhs(sys, energy, xi)
     xs = exponents if exponents is not None else locate_exponents(sys, energy)
     lhs = sum(abs(x - xi) + x + xi for x in xs.values) / (2.0 * sys.m) - xi
-    return lhs, _jensen_rhs(sys, energy, xi)
+    return lhs, rhs
 
 
 def positive_exponent_sum(sys: BlockTridiagonalSystem, energy: complex) -> float:

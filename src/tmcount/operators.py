@@ -13,12 +13,10 @@ problems of an ingested file at once.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.linalg import lapack
 
 #: reciprocal-condition threshold below which a coupling block is
 #: reported as numerically singular
@@ -86,24 +84,16 @@ class ValidationReport:
             raise ValidationError("; ".join(self.issues))
 
 
-def _block_rcond(block: np.ndarray) -> float:
-    """LU-based reciprocal condition estimate in the 1-norm."""
-    anorm = np.linalg.norm(block, 1)
-    if anorm == 0.0 or not np.isfinite(anorm):
-        return 0.0
-    lu, piv, info = lapack.zgetrf(block)
-    if info > 0:
-        return 0.0
-    rcond, _ = lapack.zgecon(lu, anorm, norm="1")
-    return float(rcond)
-
-
 def validate_system(sys: BlockTridiagonalSystem,
                     rcond_threshold: float = RCOND_THRESHOLD) -> ValidationReport:
     """Check shapes, finiteness and coupling-block invertibility.
 
-    Returns a report listing every problem found.  A system is accepted
-    by the rest of the package exactly when the report is empty.
+    Returns a report listing every problem found, block by block.  A
+    coupling block is singular when the reciprocal of its exact 1-norm
+    condition number, from one batched inverse over all B and C blocks,
+    lies below rcond_threshold; a block with a zero pivot has rcond 0.
+    A system is accepted by the rest of the package exactly when the
+    report is empty.
     """
     issues = []
     m, n = sys.m, sys.n
@@ -114,19 +104,22 @@ def validate_system(sys: BlockTridiagonalSystem,
     for name, blocks in (("A", sys.A), ("B", sys.B), ("C", sys.C)):
         if len(blocks) != n:
             issues.append(f"{name} has {len(blocks)} blocks, expected {n}")
+        shaped = [blk.shape == (m, m) for blk in blocks]
+        finite = np.ones(len(blocks), dtype=bool)
+        if any(shaped):
+            finite[shaped] = np.isfinite(np.asarray(
+                [blk for blk, ok in zip(blocks, shaped) if ok])).all(axis=(1, 2))
         for k, blk in enumerate(blocks):
-            if blk.shape != (m, m):
+            if not shaped[k]:
                 issues.append(f"{name}[{k}] has shape {blk.shape}, expected ({m}, {m})")
-                continue
-            if not np.all(np.isfinite(blk)):
+            elif not finite[k]:
                 issues.append(f"{name}[{k}] contains non-finite entries")
     if not issues:
-        for name, blocks in (("B", sys.B), ("C", sys.C)):
-            for k, blk in enumerate(blocks):
-                rc = _block_rcond(blk)
-                if rc < rcond_threshold:
-                    issues.append(
-                        f"{name}[{k}] is numerically singular (rcond {rc:.2e})")
+        rcond = 1.0 / np.linalg.cond(np.asarray(sys.B + sys.C), 1)
+        for i in np.flatnonzero(rcond < rcond_threshold):
+            name, k = ("B", i) if i < n else ("C", i - n)
+            issues.append(
+                f"{name}[{k}] is numerically singular (rcond {rcond[i]:.2e})")
     return ValidationReport(issues=tuple(issues))
 
 
@@ -207,16 +200,32 @@ def _reject_constant(_):
     raise ValidationError("non-finite numbers are not allowed in system files")
 
 
+def _blocks_from_array(seq, m: int, n: int):
+    """The n complex blocks of seq, or None when it is not an (n, m, m, 2)
+    array of numbers; those files are decided by the per-entry walk."""
+    try:
+        arr = np.asarray(seq)
+    except ValueError:  # ragged nesting
+        return None
+    if arr.shape != (n, m, m, 2) or arr.dtype.kind not in "if":
+        return None
+    return tuple(np.ascontiguousarray(arr, dtype=float).view(complex)[..., 0])
+
+
 def load_system(path) -> BlockTridiagonalSystem:
     """Read a system file, validating schema and contents.
 
     Raises ValidationError with a description of every problem found,
     including the offending block indices; the blocks are checked only
-    once "m" and "n" are valid.
+    once "m" and "n" are valid.  Each of "A", "B" and "C" is read as one
+    array when it has the schema's shape and the file holds no JSON
+    boolean (which numpy would take for 1 or 0); any other file is read
+    entry by entry, and only that walk reports schema errors.
     """
     try:
         with open(path) as fh:
-            doc = json.load(fh, parse_constant=_reject_constant)
+            text = fh.read()
+        doc = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{path}: not valid JSON ({exc})") from exc
     if not isinstance(doc, dict):
@@ -231,9 +240,13 @@ def load_system(path) -> BlockTridiagonalSystem:
     if issues:
         # the blocks cannot be checked against a size that is not known
         raise ValidationError(f"{path}: " + "; ".join(issues))
+    as_array = "true" not in text and "false" not in text
     blocks = {}
     for name in ("A", "B", "C"):
         seq = doc.get(name)
+        blocks[name] = _blocks_from_array(seq, m, n) if as_array else None
+        if blocks[name] is not None:
+            continue
         if not isinstance(seq, list) or len(seq) != n:
             issues.append(f'"{name}" must be a list of {n} blocks')
             seq = [None] * n

@@ -54,25 +54,44 @@ class ExponentSet:
     reliable: bool
 
 
+def one_step_factors(sys: BlockTridiagonalSystem, energy: complex,
+                     ks=None) -> np.ndarray:
+    """The one-step factors t_k for the block indices ks (all n by default),
+    stacked in that order, from one batched solve with the B_k.
+
+    Raises ValueError, naming the first failing k, if some B_k is
+    singular or some factor is not finite.
+    """
+    m = sys.m
+    ks = range(sys.n) if ks is None else ks
+    rhs = np.concatenate([energy * np.eye(m) - np.asarray([sys.A[k] for k in ks]),
+                          -np.asarray([sys.C[k] for k in ks])], axis=2)
+    b = np.asarray([sys.B[k] for k in ks])
+    try:
+        top = np.linalg.solve(b, rhs)
+    except np.linalg.LinAlgError:
+        top = None
+    if top is None or not np.all(np.isfinite(top)):
+        for k, bk, rk in zip(ks, b, rhs):
+            try:
+                tk = np.linalg.solve(bk, rk)
+            except np.linalg.LinAlgError as exc:
+                raise ValueError(f"B[{k}] is singular, one-step factor undefined") from exc
+            if not np.all(np.isfinite(tk)):
+                raise ValueError(f"one-step factor {k} overflowed (B[{k}] nearly singular)")
+    t = np.zeros((len(b), 2 * m, 2 * m), dtype=complex)
+    t[:, :m, :] = top
+    t[:, m:, :m] = np.eye(m)
+    return t
+
+
 def one_step_transfer(sys: BlockTridiagonalSystem, k: int, energy: complex) -> np.ndarray:
     """One factor of the propagator, for block index k (0-based).
 
     Solves with B_k rather than forming its inverse.  Raises ValueError
     if B_k is numerically singular or the factor is not finite.
     """
-    m = sys.m
-    rhs = np.hstack([energy * np.eye(m) - sys.A[k], -sys.C[k]])
-    try:
-        top = np.linalg.solve(sys.B[k], rhs)
-    except np.linalg.LinAlgError as exc:
-        raise ValueError(f"B[{k}] is singular, one-step factor undefined") from exc
-    if not np.all(np.isfinite(top)):
-        raise ValueError(f"one-step factor {k} overflowed (B[{k}] nearly singular)")
-    t = np.zeros((2 * m, 2 * m), dtype=complex)
-    t[:m, :m] = top[:, :m]
-    t[:m, m:] = top[:, m:]
-    t[m:, :m] = np.eye(m)
-    return t
+    return one_step_factors(sys, energy, [k])[0]
 
 
 def transfer_product(sys: BlockTridiagonalSystem, energy: complex) -> TransferMatrix:
@@ -82,11 +101,10 @@ def transfer_product(sys: BlockTridiagonalSystem, energy: complex) -> TransferMa
     infinity norm and the log of the scale is accumulated, keeping the
     stored mantissa's norm at one.
     """
-    m = sys.m
-    acc = np.eye(2 * m, dtype=complex)
+    acc = np.eye(2 * sys.m, dtype=complex)
     log_scale = 0.0
-    for k in range(sys.n):
-        acc = one_step_transfer(sys, k, energy) @ acc
+    for k, t in enumerate(one_step_factors(sys, energy)):
+        acc = t @ acc
         nrm = np.linalg.norm(acc, np.inf)
         if not np.isfinite(nrm) or nrm == 0.0:
             raise NumericalError(f"transfer product degenerated at factor {k}")

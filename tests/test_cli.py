@@ -95,6 +95,17 @@ def test_count_corner_method_rejected(scalar_file):
     assert exc.value.code == EXIT_USAGE
 
 
+@pytest.mark.parametrize("steps, message", [
+    ("0", "xi grid must not be empty"), ("-2", "must be non-negative")])
+def test_count_rejects_empty_grid(tmp_path, scalar_file, capsys, steps, message):
+    out = tmp_path / "c.csv"
+    rc = run_cli("count", "--system", str(scalar_file), "--xi-steps", steps,
+                 "-o", str(out))
+    assert rc == EXIT_VALIDATION
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_count_nphi_is_the_grid_size(tmp_path, capsys):
     bar = tmp_path / "bar.json"
     assert run_cli("gen-anderson", "--wx", "2", "--wy", "1", "--length", "4",

@@ -5,8 +5,10 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings, strategies as st
 
+from tmcount import counting
 from tmcount import (
     QuadratureSpec,
     RingBandWorkspace,
@@ -228,7 +230,8 @@ def test_sweep_rejects_bad_grid():
     for bad in (math.nan, math.inf):
         with pytest.raises(ValueError, match="finite"):
             counting_sweep(sys, 3.0, [0.0, bad])
-    assert counting_sweep(sys, 3.0, []) == []
+    with pytest.raises(ValueError, match="empty"):
+        counting_sweep(sys, 3.0, [])
 
 
 def test_locate_scalar_exponents():
@@ -256,6 +259,75 @@ def test_locate_rejects_invalid_bracket():
 def test_locate_rejects_bad_tolerance(tol):
     with pytest.raises(ValueError, match="tol must be finite and positive"):
         locate_exponents(scalar_chain(6), 3.0, tol=tol)
+
+
+def _bracket_systems():
+    rng = np.random.default_rng(18)
+    yield from (random_system(rng, m, n) for m, n in ((1, 3), (2, 5), (3, 7)))
+    for wx, wy, length in ((2, 1, 24), (2, 2, 40), (3, 2, 9)):
+        yield generate(AndersonConfig(wx=wx, wy=wy, length=length,
+                                      disorder=12.0, seed=length))
+
+
+@pytest.mark.parametrize("energy", [0.5, 0.3 - 0.2j])
+def test_default_bracket_matches_per_factor_loop(energy):
+    # reference: the factor-by-factor bracket the batched one replaced,
+    # with the one-step factor formed as it was before batching
+    def factor(sys, k):
+        m = sys.m
+        top = np.linalg.solve(sys.B[k], np.hstack([energy * np.eye(m) - sys.A[k],
+                                                   -sys.C[k]]))
+        t = np.zeros((2 * m, 2 * m), dtype=complex)
+        t[:m, :] = top
+        t[m:, :m] = np.eye(m)
+        return t
+
+    for sys in _bracket_systems():
+        his, los = [], []
+        for k in range(sys.n):
+            t = factor(sys, k)
+            his.append(math.log(np.linalg.norm(t, np.inf)))
+            los.append(math.log(np.linalg.norm(np.linalg.inv(t), np.inf)))
+        assert counting._default_bracket(sys, energy) == (-(max(los) + 0.1),
+                                                          max(his) + 0.1)
+
+
+def test_pencil_eigenvalues_match_scipy(monkeypatch):
+    pencils = []
+    eigvals = counting._eigvals
+
+    def recorded(a, b):
+        t = eigvals(a, b)
+        pencils.append((a, b, t))
+        return t
+
+    monkeypatch.setattr(counting, "_eigvals", recorded)
+    sys = generate(AndersonConfig(wx=2, wy=2, length=40, disorder=12.0, seed=3))
+    assert locate_exponents(sys, 0.5).reliable
+    # a singular b: one eigenvalue at infinity, one at zero
+    a = np.diag([2.0, 1.0, 0.0]).astype(complex) + np.triu(np.ones((3, 3)), 1)
+    pencils.append((a, np.diag([1.0, 0.0, 4.0]).astype(complex), None))
+    for a, b, t in pencils:
+        expect = scipy.linalg.eigvals(a, b)
+        got = eigvals(a, b)
+        assert np.array_equal(got, expect, equal_nan=True)
+        assert t is None or np.array_equal(t, expect, equal_nan=True)
+    assert np.isinf(got).sum() == 1 and (got == 0).sum() == 1
+
+
+@pytest.mark.parametrize("call, name", [
+    (lambda sys: jensen_relation(sys, 0.5, math.nan), "xi"),
+    (lambda sys: counting_function(sys, 0.5, math.nan), "xi"),
+    (lambda sys: counting_function(sys, complex(math.nan, 0.0), 0.1), "energy"),
+    (lambda sys: locate_exponents(sys, 0.5, bracket=(-math.inf, 5.0)), "bracket"),
+    (lambda sys: locate_exponents(sys, math.nan), "energy"),
+    (lambda sys: QuadratureSpec(n_phi=4.5), "n_phi"),
+])
+def test_nonfinite_input_rejected_where_it_enters(call, name):
+    sys = generate(AndersonConfig(wx=2, wy=1, length=6, disorder=4.0, seed=1))
+    with pytest.raises(ValueError, match=f"^{name} must be") as info:
+        call(sys)
+    assert not isinstance(info.value, counting.NumericalError)
 
 
 def test_locate_resolves_degenerate_multiplet():

@@ -4,6 +4,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.linalg import lapack
 from hypothesis import given, settings, strategies as st
 
 from tmcount import (
@@ -15,6 +16,7 @@ from tmcount import (
     validate_system,
 )
 
+from tmcount import operators
 from tmcount.cli import EXIT_VALIDATION, main
 
 from conftest import random_system, scalar_chain
@@ -222,3 +224,116 @@ def test_serialization_round_trip_property(seed, tmp_path_factory):
     for name in ("A", "B", "C"):
         for blk_a, blk_b in zip(getattr(sys, name), getattr(back, name)):
             assert np.array_equal(blk_a, blk_b)
+
+
+def _estimated_rcond(block):
+    """LAPACK's 1-norm rcond estimate, the test validate_system used before
+    it took the exact condition number."""
+    anorm = np.linalg.norm(block, 1)
+    if anorm == 0.0 or not np.isfinite(anorm):
+        return 0.0
+    lu, piv, info = lapack.zgetrf(block)
+    if info > 0:
+        return 0.0
+    return float(lapack.zgecon(lu, anorm, norm="1")[0])
+
+
+def _walk_load(path):
+    """Reference: load_system as it was before the array path, every entry
+    through the per-entry walk, validated with the rcond estimate."""
+    doc = json.loads(path.read_text(), parse_constant=operators._reject_constant)
+    m, n = doc["m"], doc["n"]
+    issues = []
+    blocks = {}
+    for name in ("A", "B", "C"):
+        seq = doc.get(name)
+        if not isinstance(seq, list) or len(seq) != n:
+            issues.append(f'"{name}" must be a list of {n} blocks')
+            seq = [None] * n
+        blocks[name] = [operators._block_from_json(e, m, f"{name}[{k}]", issues)
+                        for k, e in enumerate(seq)]
+    if issues:
+        raise ValidationError(f"{path}: " + "; ".join(issues))
+    for name in ("A", "B", "C"):
+        for k, blk in enumerate(blocks[name]):
+            if not np.all(np.isfinite(blk)):
+                issues.append(f"{name}[{k}] contains non-finite entries")
+    for name in ("B", "C") if not issues else ():
+        for k, blk in enumerate(blocks[name]):
+            rc = _estimated_rcond(blk)
+            if rc < operators.RCOND_THRESHOLD:
+                issues.append(f"{name}[{k}] is numerically singular (rcond {rc:.2e})")
+    if issues:
+        raise ValidationError(f"{path}: " + "; ".join(issues))
+    return BlockTridiagonalSystem(m=m, n=n, A=tuple(blocks["A"]),
+                                  B=tuple(blocks["B"]), C=tuple(blocks["C"]))
+
+
+def _meta_bool(doc):
+    doc["meta"] = {"hermitian": True}
+
+
+def _string(doc):
+    doc["A"][1][0][1] = ["0.5", 0.0]
+
+
+def _null(doc):
+    doc["B"][2][1][0][1] = None
+
+
+def _ragged(doc):
+    doc["C"][0][1] = doc["C"][0][1][:1]
+
+
+def _triple(doc):
+    doc["A"][0][0][0] = [1.0, 0.0, 0.0]
+
+
+def _integers(doc):
+    doc["B"][0] = [[[3, 0], [1, -1]], [[0, 2], [4, 0]]]
+
+
+@pytest.mark.parametrize("corrupt", [
+    None, _meta_bool, _string, _null, _ragged, _triple, _integers, "1e400"])
+def test_array_load_decides_as_the_entry_walk(tmp_path, corrupt):
+    path = tmp_path / "sys.json"
+    save_system(random_system(np.random.default_rng(19), 2, 4), path)
+    if corrupt is not None:
+        doc = json.loads(path.read_text())
+        if corrupt == "1e400":
+            # a literal that json reads as inf
+            doc["C"][1][0][1][0] = 12345.5
+            path.write_text(json.dumps(doc).replace("12345.5", "1e400"))
+        else:
+            corrupt(doc)
+            path.write_text(json.dumps(doc))
+    try:
+        expect = _walk_load(path)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as info:
+            load_system(path)
+        assert str(info.value) == str(exc)
+        assert corrupt is not None and corrupt is not _meta_bool
+        return
+    got = load_system(path)
+    assert corrupt in (None, _meta_bool, _integers)
+    for name in ("A", "B", "C"):
+        for a, b in zip(getattr(got, name), getattr(expect, name)):
+            assert a.tobytes() == b.tobytes()
+
+
+def test_exact_rcond_rejects_near_singular_block():
+    rng = np.random.default_rng(20)
+    sys = random_system(rng, 3, 4)
+    B = list(sys.B)
+    # rank one up to 1e-13: exact rcond about 1e-14
+    B[2] = np.outer([1.0, 2.0, 3.0], [1.0, -1.0, 0.5]) + 1e-13 * np.eye(3)
+    near = BlockTridiagonalSystem(m=3, n=4, A=sys.A, B=tuple(B), C=sys.C)
+    issues = validate_system(near).issues
+    assert len(issues) == 1 and issues[0].startswith("B[2] is numerically singular")
+    exact = 1.0 / np.linalg.cond(B[2], 1)
+    assert exact < 1e-12 and f"(rcond {exact:.2e})" in issues[0]
+    # the exact value never lies above the estimate, so no block that the
+    # estimate rejected is accepted
+    for blk in (*sys.B, *sys.C, B[2]):
+        assert 1.0 / np.linalg.cond(blk, 1) <= _estimated_rcond(blk) * (1 + 1e-12)
