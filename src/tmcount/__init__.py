@@ -19,13 +19,11 @@ from .hamiltonian import (RingBandWorkspace, ScaleOverflowError,
                           SpectrumCollisionError, build_hamiltonian,
                           det_shifted, duality_residual,
                           resolvent_corners_open, similarity_transform_check)
-from .logscale import ScaledComplex, relative_difference
 from .operators import (BlockTridiagonalSystem, ValidationError,
                         ValidationReport, hermitian_check, load_system,
                         save_system, validate_system)
 from .transfer import (ExponentSet, NumericalError, TransferMatrix,
-                       direct_count, one_step_factors, one_step_transfer,
-                       stable_exponents, transfer_product)
+                       one_step_factors, stable_exponents, transfer_product)
 
 __all__ = [
     "AndersonConfig",
@@ -36,7 +34,6 @@ __all__ = [
     "QuadratureSpec",
     "RingBandWorkspace",
     "ScaleOverflowError",
-    "ScaledComplex",
     "SpectrumCollisionError",
     "TransferMatrix",
     "ValidationError",
@@ -50,7 +47,6 @@ __all__ = [
     "counting_integrand_corner",
     "counting_sweep",
     "det_shifted",
-    "direct_count",
     "duality_residual",
     "generate",
     "hermitian_check",
@@ -59,9 +55,7 @@ __all__ = [
     "load_system",
     "locate_exponents",
     "one_step_factors",
-    "one_step_transfer",
     "positive_exponent_sum",
-    "relative_difference",
     "resolvent_corners_open",
     "save_system",
     "similarity_transform_check",

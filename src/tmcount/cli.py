@@ -23,7 +23,7 @@ from .counting import (QuadratureSpec, counting_integrand,
 from .hamiltonian import (SpectrumCollisionError, duality_residual,
                           resolvent_corners_open, similarity_transform_check)
 from .operators import ValidationError, load_system, save_system
-from .transfer import NumericalError, stable_exponents
+from .transfer import RELIABLE_SPREAD, NumericalError, stable_exponents
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -138,11 +138,11 @@ def _check_lines(system, energy, seed):
         lz = rng.uniform(-max_log, max_log)
         return cmath.exp(complex(lz, rng.uniform(0.0, 2.0 * math.pi)))
 
-    # one source of exponents for every line below; the direct oracle
-    # only decides whether the duality line can run
+    # one source of exponents for every line below; their spread also
+    # decides whether the transfer product of the duality line resolves
     located = locate_exponents(system, energy, tol=1e-8)
 
-    if stable_exponents(system, energy).reliable:
+    if n * (located.values[-1] - located.values[0]) <= RELIABLE_SPREAD:
         worst = duality_residual(system, energy,
                                  [draw_z(math.log(2.0)) for _ in range(20)])
         results.append(("duality residual (20 random z)", worst, 1e-8))

@@ -16,16 +16,19 @@ checks and tests.  Everything else works on ``RingBandWorkspace``:
 shifted determinants and resolvent corner blocks come from a banded LU
 factorization of two operators only, the balanced ring and the open
 chain.  The plain determinant at z is the balanced one at z**(1/n), by
-the similarity above.  The ring ordering 1, n, 2, n-1, ..., reversed
-so that ring blocks 1 and n take the last two slots, folds the corner
-blocks into a band of block width two, so the factorization is
-partial-pivoted LAPACK ``gbtrf`` on a genuinely banded matrix: stable at
-any contour radius and linear-time in n.  The band widths kl and ku are
-measured from the nonzero entries of the folded blocks: 2m on Anderson
-bars, whose couplings are identity blocks, and 3m - 1 on dense blocks.
-The band at each (energy, z) is one product of four weights with a
-stack of four templates that hold the nonzero entries only, scattered
-into zeros.  The full inverse is never formed; the corner blocks come
+the similarity above.  Determinants are numpy's (sign, log|det|)
+pairs, as ``np.linalg.slogdet`` returns them, so they stay finite at
+any length; ``duality_residual`` takes the transfer side from one
+``slogdet`` of the rescaled 2m x 2m product.  The ring ordering 1, n,
+2, n-1, ..., reversed so that ring blocks 1 and n take the last two
+slots, folds the corner blocks into a band of block width two, so the
+factorization is partial-pivoted LAPACK ``gbtrf`` on a genuinely banded
+matrix: stable at any contour radius and linear-time in n.  The band
+widths kl and ku are measured from the nonzero entries of the folded
+blocks: 2m on Anderson bars, whose couplings are identity blocks, and
+3m - 1 on dense blocks.  The band at each (energy, z) is one product of
+four weights with a stack of four templates that hold the nonzero
+entries only, scattered into zeros.  The full inverse is never formed; the corner blocks come
 from 2m unit columns in the last two slots.  Forward substitution leaves
 every row above the trailing 2m + kl zero, and back substitution of the
 last 2m rows reads only the rows below them, so only that trailing
@@ -50,7 +53,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import lapack
 
-from .logscale import ScaledComplex, relative_difference
 from .operators import BlockTridiagonalSystem
 from .transfer import NumericalError, transfer_product
 
@@ -244,8 +246,9 @@ class BandFactor:
             return -math.inf
         return float(np.sum(np.log(mods)))
 
-    def det_scaled(self) -> ScaledComplex:
-        """det of the factored (operator - energy) matrix, log-scaled.
+    def det_scaled(self) -> tuple[complex, float]:
+        """det of the factored (operator - energy) matrix as numpy's
+        (sign, log|det|) pair, (0, -inf) on a zero pivot.
 
         The fold permutation is symmetric, so it leaves the determinant
         unchanged; only the gbtrf row swaps contribute a sign.
@@ -254,14 +257,12 @@ class BandFactor:
         udiag = self.lub[ws.kl + ws.ku, :]
         mods = np.abs(udiag)
         if np.any(mods == 0.0):
-            return ScaledComplex.zero()
-        phase = complex(np.prod(udiag / mods))
+            return 0j, -math.inf
+        sign = complex(np.prod(udiag / mods))
         # scipy's gbtrf wrapper hands back 0-based pivot indices
-        swaps = int(np.sum(self.ipiv != np.arange(ws.N)))
-        if swaps % 2:
-            phase = -phase
-        phase /= abs(phase)
-        return ScaledComplex(phase, float(np.sum(np.log(mods))))
+        if np.sum(self.ipiv != np.arange(ws.N)) % 2:
+            sign = -sign
+        return sign / abs(sign), float(np.sum(np.log(mods)))
 
 
 # ---------------------------------------------------------------------------
@@ -270,8 +271,9 @@ class BandFactor:
 
 def det_shifted(sys: BlockTridiagonalSystem, energy: complex, kind: str,
                 z: complex | None = None,
-                workspace: RingBandWorkspace | None = None) -> ScaledComplex:
-    """det[energy - ring_variant(z)] as a log-scaled complex number.
+                workspace: RingBandWorkspace | None = None
+                ) -> tuple[complex, float]:
+    """det[energy - ring_variant(z)] as a (sign, log|det|) pair.
 
     The plain variant at z is factored as the balanced one at
     w = z^(1/n): a diagonal similarity maps balanced(w) to plain(w^n),
@@ -281,12 +283,11 @@ def det_shifted(sys: BlockTridiagonalSystem, energy: complex, kind: str,
     if kind == "plain":
         z = cmath.exp(cmath.log(z) / sys.n)
     ws = workspace if workspace is not None else RingBandWorkspace(sys)
-    d = ws.factor(energy, None if kind == "corner_free" else z).det_scaled()
-    if d.is_zero:
-        return d
+    f = ws.factor(energy, None if kind == "corner_free" else z)
+    sign, logdet = f.det_scaled()
     if (sys.m * sys.n) % 2 == 1:
-        d = ScaledComplex(-d.mantissa, d.log_modulus)
-    return d
+        sign = -sign
+    return sign, logdet
 
 
 def similarity_transform_check(sys: BlockTridiagonalSystem, z: complex) -> float:
@@ -323,55 +324,46 @@ def similarity_transform_check(sys: BlockTridiagonalSystem, z: complex) -> float
     return float(max(res1, res2))
 
 
-def _char_poly_scaled(lam: np.ndarray, log_scale: float,
-                      z: complex) -> ScaledComplex:
-    """det[T(energy) - z] in log scale.
-
-    lam are the eigenvalues of the rescaled transfer product, whose
-    scale is e^log_scale.  One scaled factor per eigenvalue keeps the
-    value finite even when the product itself would overflow.
-    """
-    lz = math.log(abs(z)) if z != 0 else -math.inf
-    out = ScaledComplex(1.0 + 0j, 0.0)
-    for li in lam:
-        la = log_scale + (math.log(abs(li)) if li != 0 else -math.inf)
-        ref = max(la, lz, 0.0)
-        f = li * cmath.exp(log_scale - ref) - z * math.exp(-ref)
-        sc = ScaledComplex.from_complex(f)
-        if sc.is_zero:
-            return ScaledComplex.zero()
-        out = out * ScaledComplex(sc.mantissa, sc.log_modulus + ref)
-    return out
+def _relative_gap(a, b) -> float:
+    """|a - b| / (|a| + |b|) of two (sign, log|x|) pairs, 0 when both vanish."""
+    ref = max(a[1], b[1])
+    if ref == -math.inf:
+        return 0.0
+    av, bv = (sign * math.exp(logabs - ref) for sign, logabs in (a, b))
+    return abs(av - bv) / (abs(av) + abs(bv))
 
 
 def duality_residual(sys: BlockTridiagonalSystem, energy: complex, z) -> float:
     """Relative mismatch between the two characteristic polynomials.
 
-    Left side: det[T(E) - z] det[B_1 ... B_n] through the propagator's
-    eigenvalues.  Right side: (-z)**m det[E - ring_plain(z)] through the
-    banded determinant.  Both sides are kept in log scale; a residual of
-    zero is returned when both vanish.  z is one point or a sequence of
-    them, and the largest residual is returned; the transfer product,
-    its eigenvalues and the banded workspace are formed once for all.
+    Left side: det[T(E) - z] det[B_1 ... B_n].  With T = mat e^s and
+    r = max(s, log|z|), det[T - z] = e^{2mr} det(mat e^{s-r} - z e^{-r}),
+    whose matrix has entries of order one.  Right side: (-z)**m
+    det[E - ring_plain(z)] through the banded determinant.  Both sides
+    are (sign, log|det|) pairs; a residual of zero is returned when both
+    vanish.  z is one point or a sequence of them, and the largest
+    residual is returned; the transfer product and the banded workspace
+    are formed once for all.
     """
     zs = np.atleast_1d(np.asarray(z, dtype=complex))
     if np.any(zs == 0):
         raise ValueError("duality is stated for z != 0")
+    m = sys.m
     tm = transfer_product(sys, energy)
-    lam = np.linalg.eigvals(tm.mat)
-    det_b = ScaledComplex(1.0 + 0j, 0.0)
-    for b in sys.B:
-        sign, lad = np.linalg.slogdet(b)
-        det_b = det_b * ScaledComplex(complex(sign), float(lad))
+    signs_b, logs_b = np.linalg.slogdet(np.asarray(sys.B))
+    sign_b, log_b = np.prod(signs_b), float(np.sum(logs_b))
+    eye = np.eye(2 * m)
     ws = RingBandWorkspace(sys)
     worst = 0.0
     for zk in map(complex, zs):
-        lhs = _char_poly_scaled(lam, tm.log_scale, zk) * det_b
-        mz = ScaledComplex.from_complex(-zk)
-        prefactor = ScaledComplex(mz.mantissa ** sys.m / abs(mz.mantissa ** sys.m),
-                                  sys.m * mz.log_modulus)
-        rhs = prefactor * det_shifted(sys, energy, "plain", zk, workspace=ws)
-        worst = max(worst, relative_difference(lhs, rhs))
+        log_z = math.log(abs(zk))
+        r = max(tm.log_scale, log_z)
+        sign, logdet = np.linalg.slogdet(tm.mat * math.exp(tm.log_scale - r)
+                                         - zk * math.exp(-r) * eye)
+        lhs = (sign * sign_b, 2 * m * r + logdet + log_b)
+        sign, logdet = det_shifted(sys, energy, "plain", zk, workspace=ws)
+        rhs = ((-zk / abs(zk)) ** m * sign, m * log_z + logdet)
+        worst = max(worst, _relative_gap(lhs, rhs))
     return worst
 
 

@@ -85,15 +85,6 @@ def one_step_factors(sys: BlockTridiagonalSystem, energy: complex,
     return t
 
 
-def one_step_transfer(sys: BlockTridiagonalSystem, k: int, energy: complex) -> np.ndarray:
-    """One factor of the propagator, for block index k (0-based).
-
-    Solves with B_k rather than forming its inverse.  Raises ValueError
-    if B_k is numerically singular or the factor is not finite.
-    """
-    return one_step_factors(sys, energy, [k])[0]
-
-
 def transfer_product(sys: BlockTridiagonalSystem, energy: complex) -> TransferMatrix:
     """Ordered product of all n one-step factors, last factor leftmost.
 
@@ -127,18 +118,3 @@ def stable_exponents(sys: BlockTridiagonalSystem, energy: complex) -> ExponentSe
     spread = sys.n * (xs[-1] - xs[0])
     return ExponentSet(values=tuple(float(x) for x in xs),
                        reliable=bool(spread <= RELIABLE_SPREAD))
-
-
-def direct_count(sys: BlockTridiagonalSystem, energy: complex, xi: float,
-                 guard: float = 1e-9) -> int:
-    """Number of exponents strictly below xi, via the eigenvalue route.
-
-    Raises ValueError when xi sits within ``guard`` of an exponent,
-    where the strict count is ambiguous in floating point.
-    """
-    exps = stable_exponents(sys, energy)
-    vals = np.asarray(exps.values)
-    if np.min(np.abs(vals - xi)) < guard:
-        raise ValueError(
-            f"xi={xi} is within {guard} of an exponent; count is ambiguous")
-    return int(np.sum(vals < xi))

@@ -208,6 +208,24 @@ def test_check_locates_once_inside_oracle_range(tmp_path, monkeypatch):
     assert _check_locate_tolerances(tmp_path, monkeypatch, 4) == [1e-8]
 
 
+def test_check_runs_without_direct_oracle(tmp_path, monkeypatch, capsys):
+    # the duality line is gated on the located exponents' spread: it runs
+    # at length 4 and is skipped at length 24, with no eigenvalue oracle
+    def fail(*args, **kwargs):
+        raise AssertionError("check called the direct oracle")
+
+    monkeypatch.setattr(cli, "stable_exponents", fail)
+    for length, duality in ((4, "PASS"), (24, "skipped")):
+        bar = tmp_path / f"bar{length}.json"
+        assert run_cli("gen-anderson", "--wx", "2", "--wy", "1", "--length",
+                       str(length), "--disorder", "18", "--seed", "1",
+                       "-o", str(bar)) == EXIT_OK
+        assert run_cli("check", "--system", str(bar), "--energy", "0.5") == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].startswith("duality residual") and duality in lines[0]
+        assert lines[-1] == "overall: PASS"
+
+
 @pytest.mark.parametrize("wx, wy, length, seed", [
     (2, 2, 8, 2),      # the direct oracle's total sum was 1.6e-7 off
     (2, 2, 10, 2),     # and 5.1e-5 off, both flagged reliable

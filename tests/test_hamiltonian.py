@@ -1,6 +1,7 @@
 """Ring operators, banded determinants, resolvents, duality, similarity."""
 
 import cmath
+import math
 import tracemalloc
 
 import numpy as np
@@ -18,6 +19,7 @@ from tmcount import (
     generate,
     resolvent_corners_open,
     similarity_transform_check,
+    stable_exponents,
     transfer_product,
 )
 
@@ -101,11 +103,11 @@ def test_banded_determinant_matches_dense():
         z = rng.uniform(0.5, 2.0) * cmath.exp(1j * rng.uniform(0, 2 * np.pi))
         kind = ("plain", "balanced", "corner_free")[int(rng.integers(3))]
         zz = None if kind == "corner_free" else z
-        sc = det_shifted(sys, E, kind, zz)
-        dense = np.linalg.det(
+        sign, logdet = det_shifted(sys, E, kind, zz)
+        want_sign, want_logdet = np.linalg.slogdet(
             E * np.eye(m * n) - dense_variant(sys, kind, zz))
-        got = sc.mantissa * np.exp(sc.log_modulus)
-        assert cmath.isclose(got, dense, rel_tol=1e-10)
+        assert abs(sign - want_sign) < 1e-10
+        assert logdet == pytest.approx(want_logdet, abs=1e-10)
 
 
 def test_determinant_vanishes_on_ring_spectrum():
@@ -113,9 +115,9 @@ def test_determinant_vanishes_on_ring_spectrum():
     sys = scalar_chain(3)
     on = det_shifted(sys, 2.0, "plain", 1.0)
     off = det_shifted(sys, 3.0, "plain", 1.0)
-    ratio = abs(on.value) / abs(off.value)
-    assert ratio < 1e-12
-    assert off.value == pytest.approx(16.0, rel=1e-12)
+    assert on[1] - off[1] < math.log(1e-12)
+    assert abs(off[0] - 1.0) < 1e-12
+    assert off[1] == pytest.approx(math.log(16.0), abs=1e-12)
 
 
 def test_resolvent_corners_match_dense_inverse():
@@ -224,10 +226,11 @@ def test_sparse_band_matches_dense_oracle():
             assert np.allclose(bn1, G[-m:, :m], atol=1e-10 * scale)
             assert np.allclose(bnn, G[-m:, -m:], atol=1e-10 * scale)
             for kind, zz in (("plain", z), ("balanced", z), ("corner_free", None)):
-                sc = det_shifted(sys, E, kind, zz, workspace=ws)
-                dense = np.linalg.det(E * eye - dense_variant(sys, kind, zz))
-                assert cmath.isclose(sc.mantissa * np.exp(sc.log_modulus), dense,
-                                     rel_tol=1e-10)
+                sign, logdet = det_shifted(sys, E, kind, zz, workspace=ws)
+                want_sign, want_logdet = np.linalg.slogdet(
+                    E * eye - dense_variant(sys, kind, zz))
+                assert abs(sign - want_sign) < 1e-10
+                assert logdet == pytest.approx(want_logdet, abs=1e-10)
         g = np.linalg.inv(dense_variant(sys, "corner_free") - E * eye)
         scale = np.max(np.abs(g))
         for got, want in zip(resolvent_corners_open(sys, E),
@@ -272,6 +275,14 @@ def test_exact_zero_pivot_raises():
             f.require_nonsingular("test")
         with pytest.raises(SpectrumCollisionError):
             f.corner_solve()
+
+
+def test_zero_pivot_determinant_is_zero_pair():
+    # the factors of test_exact_zero_pivot_raises, as numpy's slogdet
+    # writes a singular matrix's determinant
+    ws = RingBandWorkspace(scalar_chain(3))
+    for energy, z in ((2.0, 1.0), (0.0, None)):
+        assert ws.factor(energy, z).det_scaled() == (0, -math.inf)
 
 
 def test_resolvent_hermitian_structure():
@@ -345,6 +356,29 @@ def test_duality_residual_small():
         assert duality_residual(sys, E, z) < 1e-10
 
 
+def annulus_points(seed, count):
+    """Random z with 1/2 <= |z| <= 2, drawn as tmcount check draws them."""
+    rng = np.random.default_rng(seed)
+    return np.exp(rng.uniform(-math.log(2.0), math.log(2.0), count)
+                  + 1j * rng.uniform(0.0, 2.0 * math.pi, count))
+
+
+def test_duality_at_far_scales():
+    # the transfer product scales as e^-1033 and det B_1 ... B_n as
+    # e^2072, far outside double precision
+    sys = scalar_chain(300, b=1000.0, c=1.0)
+    assert transfer_product(sys, 0.3).log_scale < -1000.0
+    assert duality_residual(sys, 0.3, annulus_points(45, 10)) < 1e-8
+
+
+def test_duality_on_wide_spread_bar():
+    # n * spread = 29.4, next to the limit of the duality line in check
+    sys = generate(AndersonConfig(2, 2, 8, 18.0, seed=12))
+    exps = stable_exponents(sys, 0.5).values
+    assert 29.0 < sys.n * (exps[-1] - exps[0]) < 30.0
+    assert duality_residual(sys, 0.5, annulus_points(46, 20)) < 1e-8
+
+
 def test_duality_at_propagator_eigenvalue():
     # when z is an eigenvalue of the n-step propagator, both sides of
     # the determinant identity vanish: the ring determinant must drop
@@ -356,7 +390,7 @@ def test_duality_at_propagator_eigenvalue():
     lam = np.linalg.eigvals(tm.mat)[0] * np.exp(tm.log_scale)
     on = det_shifted(sys, E, "plain", lam)
     off = det_shifted(sys, E, "plain", lam * 1.13)
-    assert abs(on.value) / abs(off.value) < 1e-9
+    assert on[1] - off[1] < math.log(1e-9)
 
 
 def test_shifted_determinant_polynomial_structure():
@@ -368,8 +402,8 @@ def test_shifted_determinant_polynomial_structure():
     m = sys.m
 
     def f(z):
-        sc = det_shifted(sys, E, "plain", z)
-        return z ** m * sc.mantissa * np.exp(sc.log_modulus)
+        sign, logdet = det_shifted(sys, E, "plain", z)
+        return z ** m * sign * np.exp(logdet)
 
     nodes = np.exp(2j * np.pi * np.arange(2 * m + 1) / (2 * m + 1))
     coeffs = np.polyfit(nodes, [f(z) for z in nodes], 2 * m)

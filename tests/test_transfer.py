@@ -1,4 +1,4 @@
-"""Transfer factors, rescaled products, exponents and the direct count."""
+"""Transfer factors, rescaled products and exponents."""
 
 import math
 
@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from tmcount import (
-    direct_count,
-    one_step_transfer,
+    one_step_factors,
     stable_exponents,
     total_exponent_sum,
     transfer_product,
@@ -23,11 +22,11 @@ ARCCOSH_25 = 1.5667992369724109   # math.acosh(2.5)
 
 def test_one_step_factor_scalar_examples():
     sys = scalar_chain(3)
-    t = one_step_transfer(sys, 0, 2.0)
+    t = one_step_factors(sys, 2.0, [0])[0]
     assert np.allclose(t, [[2.0, -1.0], [1.0, 0.0]])
 
     sys2 = scalar_chain(3, a=0.0, b=2.0, c=3.0)
-    t2 = one_step_transfer(sys2, 1, 4.0)
+    t2 = one_step_factors(sys2, 4.0, [1])[0]
     assert np.allclose(t2, [[2.0, -1.5], [1.0, 0.0]])
 
 
@@ -35,7 +34,7 @@ def test_one_step_factor_solves_block_system():
     rng = np.random.default_rng(3)
     sys = random_system(rng, 3, 4)
     E = 1.3 - 0.2j
-    t = one_step_transfer(sys, 2, E)
+    t = one_step_factors(sys, E, [2])[0]
     m = sys.m
     # defining property: B_k (top-left) = E - A_k, B_k (top-right) = -C_k
     assert np.allclose(sys.B[2] @ t[:m, :m], E * np.eye(m) - sys.A[2])
@@ -47,7 +46,7 @@ def test_one_step_factor_solves_block_system():
 def test_one_step_factor_rejects_singular_coupling():
     sys = scalar_chain(3, b=0.0)
     with pytest.raises(ValueError, match="singular"):
-        one_step_transfer(sys, 0, 1.0)
+        one_step_factors(sys, 1.0, [0])[0]
 
 
 def test_product_of_rotations():
@@ -66,7 +65,7 @@ def test_product_matches_plain_multiplication():
     tm = transfer_product(sys, E)
     plain = np.eye(4, dtype=complex)
     for k in range(sys.n):
-        plain = one_step_transfer(sys, k, E) @ plain
+        plain = one_step_factors(sys, E, [k])[0] @ plain
     assert np.allclose(tm.mat * math.exp(tm.log_scale), plain,
                        rtol=1e-12, atol=1e-12)
 
@@ -138,30 +137,3 @@ def test_unreliable_flag_on_extreme_spread():
     exps = stable_exponents(sys, 1.0e6)
     assert not exps.reliable
 
-
-def test_direct_count_scalar():
-    sys = scalar_chain(6)
-    assert direct_count(sys, 3.0, -2.0) == 0
-    assert direct_count(sys, 3.0, 0.0) == 1
-    assert direct_count(sys, 3.0, 2.0) == 2
-
-
-def test_direct_count_ambiguity_guard():
-    sys = scalar_chain(6)
-    with pytest.raises(ValueError, match="ambiguous"):
-        direct_count(sys, 3.0, ARCCOSH_15)
-
-
-def test_direct_count_monotone_in_xi():
-    rng = np.random.default_rng(24)
-    sys = random_system(rng, 2, 5)
-    grid = np.linspace(-3.0, 3.0, 25)
-    counts = []
-    for xi in grid:
-        try:
-            counts.append(direct_count(sys, 0.3, float(xi)))
-        except ValueError:
-            counts.append(None)
-    seen = [c for c in counts if c is not None]
-    assert seen[0] == 0 and seen[-1] == 2 * sys.m
-    assert all(b >= a for a, b in zip(seen, seen[1:]))
